@@ -11,9 +11,9 @@
 
 #include "bench/bench_common.h"
 #include "src/cluster/datacenter.h"
-#include "src/experiments/availability.h"
 #include "src/experiments/cluster_scaling.h"
-#include "src/experiments/durability.h"
+#include "src/experiments/storage_cosim.h"
+#include "src/trace/reimage.h"
 
 int main() {
   using namespace harvest;
@@ -28,30 +28,37 @@ int main() {
   Cluster cluster = BuildCluster(DatacenterByName("DC-7"), build, rng);
   Cluster busy = ScaleClusterUtilization(cluster, ScalingMethod::kLinear, 0.5);
 
+  // One year of reimages on the fleet; a month of uniform reads on the busy copy.
+  StorageTimelineOptions reimage_options;
+  reimage_options.reimage_horizon_seconds = 12.0 * kSecondsPerMonth;
+  const StorageTimeline reimages = BuildStorageTimeline(cluster, reimage_options);
+  StorageTimelineOptions access_options;
+  access_options.uniform_accesses = static_cast<int64_t>(100000 * BenchScale());
+  access_options.access_horizon_seconds = 30.0 * 24.0 * 3600.0;
+  access_options.access_seed = DerivedStreamSeed(2016, "accesses");
+  const StorageTimeline accesses = BuildStorageTimeline(busy, access_options);
+
   const PlacementKind kinds[] = {PlacementKind::kHistory, PlacementKind::kGreedy,
                                  PlacementKind::kRandom, PlacementKind::kSoft,
                                  PlacementKind::kStock};
 
   std::printf("\n%-14s %16s %18s\n", "policy", "lost%% (3x, 1y)", "failed%% (3x, 50%% util)");
   for (PlacementKind kind : kinds) {
-    DurabilityOptions durability;
+    StorageCosimOptions durability;
     durability.placement = kind;
     durability.replication = 3;
     durability.num_blocks = static_cast<int64_t>(80000 * BenchScale());
-    durability.months = 12;
-    durability.seed = 2016;
-    DurabilityResult loss = RunDurabilityExperiment(cluster, durability);
+    durability.writer_seed = 2016;
+    durability.policy_seed = DerivedStreamSeed(2016, PlacementKindName(kind));
+    StorageCosimResult loss = RunStorageCosim(cluster, reimages, durability);
 
-    AvailabilityOptions availability;
-    availability.placement = kind;
-    availability.replication = 3;
+    StorageCosimOptions availability = durability;
     availability.num_blocks = static_cast<int64_t>(30000 * BenchScale());
-    availability.num_accesses = static_cast<int64_t>(100000 * BenchScale());
-    availability.seed = 2016;
-    AvailabilityResult failed = RunAvailabilityExperiment(busy, availability);
+    availability.primary_aware_access = true;
+    StorageCosimResult failed = RunStorageCosim(busy, accesses, availability);
 
     std::printf("%-14s %15.4f%% %17.3f%%\n", PlacementKindName(kind), loss.lost_percent,
-                failed.failed_percent);
+                failed.failed_access_percent);
   }
 
   PrintRule();

@@ -9,7 +9,8 @@
 
 #include "bench/bench_common.h"
 #include "src/cluster/datacenter.h"
-#include "src/experiments/durability.h"
+#include "src/experiments/storage_cosim.h"
+#include "src/trace/reimage.h"
 
 int main() {
   using namespace harvest;
@@ -32,17 +33,20 @@ int main() {
     build.scale = 0.2 * BenchScale();
     build.per_server_traces = false;
     Cluster cluster = BuildCluster(profile, build, rng);
+    StorageTimelineOptions timeline_options;
+    timeline_options.reimage_horizon_seconds = 12.0 * kSecondsPerMonth;
+    const StorageTimeline timeline = BuildStorageTimeline(cluster, timeline_options);
 
     double lost[2][2];  // [policy][replication]
     for (int p = 0; p < 2; ++p) {
       for (int r = 0; r < 2; ++r) {
-        DurabilityOptions options;
+        StorageCosimOptions options;
         options.placement = p == 0 ? PlacementKind::kStock : PlacementKind::kHistory;
         options.replication = r == 0 ? 3 : 4;
         options.num_blocks = blocks;
-        options.months = 12;
-        options.seed = 2016;
-        lost[p][r] = RunDurabilityExperiment(cluster, options).lost_percent;
+        options.writer_seed = 2016;
+        options.policy_seed = DerivedStreamSeed(2016, PlacementKindName(options.placement));
+        lost[p][r] = RunStorageCosim(cluster, timeline, options).lost_percent;
       }
     }
     std::printf("%-6s %15.4f%% %15.4f%% %15.4f%% %15.4f%%\n", profile.name.c_str(),

@@ -9,8 +9,8 @@
 
 #include "bench/bench_common.h"
 #include "src/cluster/datacenter.h"
-#include "src/experiments/availability.h"
 #include "src/experiments/cluster_scaling.h"
+#include "src/experiments/storage_cosim.h"
 
 int main() {
   using namespace harvest;
@@ -28,17 +28,23 @@ int main() {
   std::printf("\n%-8s %14s %14s %14s %14s\n", "util", "Stock-3x", "H-3x", "Stock-4x", "H-4x");
   for (double target : utilizations) {
     Cluster cluster = ScaleClusterUtilization(base, ScalingMethod::kLinear, target);
+    StorageTimelineOptions timeline_options;
+    timeline_options.uniform_accesses = static_cast<int64_t>(150000 * BenchScale());
+    timeline_options.access_horizon_seconds = 30.0 * 24.0 * 3600.0;
+    timeline_options.access_seed = DerivedStreamSeed(2016, "accesses");
+    const StorageTimeline timeline = BuildStorageTimeline(cluster, timeline_options);
     std::printf("%6.0f%% ", 100.0 * target);
     for (int replication : {3, 4}) {
       for (PlacementKind placement : {PlacementKind::kStock, PlacementKind::kHistory}) {
-        AvailabilityOptions options;
+        StorageCosimOptions options;
         options.placement = placement;
         options.replication = replication;
         options.num_blocks = static_cast<int64_t>(40000 * BenchScale());
-        options.num_accesses = static_cast<int64_t>(150000 * BenchScale());
-        options.seed = 2016;
-        AvailabilityResult result = RunAvailabilityExperiment(cluster, options);
-        std::printf(" %13.3f%%", result.failed_percent);
+        options.primary_aware_access = true;
+        options.writer_seed = 2016;
+        options.policy_seed = DerivedStreamSeed(2016, PlacementKindName(placement));
+        std::printf(" %13.3f%%",
+                    RunStorageCosim(cluster, timeline, options).failed_access_percent);
       }
     }
     std::printf("\n");

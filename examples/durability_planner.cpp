@@ -11,7 +11,8 @@
 
 #include "src/cluster/datacenter.h"
 #include "src/core/placement_grid.h"
-#include "src/experiments/durability.h"
+#include "src/experiments/storage_cosim.h"
+#include "src/trace/reimage.h"
 
 int main(int argc, char** argv) {
   using namespace harvest;
@@ -35,19 +36,23 @@ int main(int argc, char** argv) {
   std::printf("placement grid balance ratio: %.2f (1.0 = perfectly equal space per cell)\n\n",
               grid.BalanceRatio());
 
+  // One year of the fleet's reimages, replayed against every cell below.
+  StorageTimelineOptions timeline_options;
+  timeline_options.reimage_horizon_seconds = 12.0 * kSecondsPerMonth;
+  const StorageTimeline timeline = BuildStorageTimeline(cluster, timeline_options);
+
   std::printf("%-14s %14s %14s %14s\n", "policy", "2x lost%", "3x lost%", "4x lost%");
   for (PlacementKind policy : {PlacementKind::kStock, PlacementKind::kRandom,
                                PlacementKind::kHistory, PlacementKind::kSoft}) {
     std::printf("%-14s", PlacementKindName(policy));
     for (int replication : {2, 3, 4}) {
-      DurabilityOptions options;
+      StorageCosimOptions options;
       options.placement = policy;
       options.replication = replication;
       options.num_blocks = 60000;
-      options.months = 12;
-      options.seed = 11;
-      DurabilityResult result = RunDurabilityExperiment(cluster, options);
-      std::printf(" %13.4f%%", result.lost_percent);
+      options.writer_seed = 11;
+      options.policy_seed = DerivedStreamSeed(11, PlacementKindName(policy));
+      std::printf(" %13.4f%%", RunStorageCosim(cluster, timeline, options).lost_percent);
     }
     std::printf("\n");
   }

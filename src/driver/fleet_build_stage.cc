@@ -58,10 +58,10 @@ void AttachReimageSchedules(Cluster& cluster, const ReimageModelParams& params, 
   }
 }
 
-// Loads the recorded fleet for this DC. Paths were resolved by
-// ValidateScenario before the run started; failures here are file integrity
-// problems (corruption, truncation, version or shape mismatches) and abort
-// with the reader's message.
+// Loads the recorded fleet for this DC. Paths and headers were checked by
+// ValidateScenario before the run started; failures here are payload
+// integrity problems (corruption, truncation, slot-count mismatches) and
+// abort with the reader's message.
 Cluster ReplayScenarioCluster(const DcContext& ctx, const TraceSource& source) {
   const ScenarioConfig& config = *ctx.config;
   std::string path;

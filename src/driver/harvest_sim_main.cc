@@ -8,8 +8,8 @@
 //   ./build/harvest_sim --scenario=dc9_testbed --seed=42 --out=results.json
 //   ./build/harvest_sim --scenario=fleet_sweep --set fleet_scale=0.2
 //       --set replications=3,4 --threads=4 --out=-
-//   ./build/harvest_sim --list
-//   ./build/harvest_sim --knobs
+//   ./build/harvest_sim --list-scenarios
+//   ./build/harvest_sim --list-knobs
 
 #include <cerrno>
 #include <cmath>
@@ -34,21 +34,19 @@ void PrintUsage(std::FILE* stream) {
                "       harvest_sim --list-scenarios | --list-names | --list-knobs | "
                "--list-faults\n"
                "\n"
-               "  --scenario=NAME  registered scenario preset (see --list)\n"
+               "  --scenario=NAME  registered scenario preset (see --list-scenarios)\n"
                "  --seed=N         RNG seed; same seed => identical JSON (default 42)\n"
                "  --scale=F        size multiplier on fleets/blocks/accesses (default 1.0)\n"
                "  --threads=N      worker threads for the per-datacenter loop\n"
                "                   (default: hardware concurrency; output is byte-identical\n"
                "                   for any value)\n"
-               "  --set KEY=VALUE  override one scenario knob (repeatable; see --knobs)\n"
+               "  --set KEY=VALUE  override one scenario knob (repeatable; see --list-knobs)\n"
                "  --dump-traces=DIR  export every datacenter's materialized fleet to\n"
                "                   DIR/<DC>.trace for exact replay via --set trace_dir=DIR\n"
                "  --out=PATH       JSON output path, '-' for stdout (default results.json)\n"
                "  --list-scenarios list registered scenarios with descriptions and exit\n"
-               "                   (--list is the legacy spelling)\n"
                "  --list-names     list scenario names only, one per line (for scripts)\n"
                "  --list-knobs     list the knobs --set accepts and exit\n"
-               "                   (--knobs is the legacy spelling)\n"
                "  --list-faults    list the fault-plan grammar --set fault_plan=... uses\n");
 }
 
@@ -117,8 +115,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string value;
-    if (std::strcmp(argv[i], "--list") == 0 ||
-        std::strcmp(argv[i], "--list-scenarios") == 0) {
+    if (std::strcmp(argv[i], "--list-scenarios") == 0) {
       PrintScenarios();
       return 0;
     }
@@ -126,8 +123,7 @@ int main(int argc, char** argv) {
       PrintScenarioNames();
       return 0;
     }
-    if (std::strcmp(argv[i], "--knobs") == 0 ||
-        std::strcmp(argv[i], "--list-knobs") == 0) {
+    if (std::strcmp(argv[i], "--list-knobs") == 0) {
       PrintKnobs();
       return 0;
     }

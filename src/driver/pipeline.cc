@@ -21,7 +21,7 @@ namespace harvest {
 namespace {
 
 // Wall-clock seconds of one stage call; stored next to the stage's result so
-// every run carries its own perf trajectory (tools/perf_sched.sh reads it).
+// every run carries its own per-stage timing (the JSON "timing" block).
 template <typename Fn>
 auto Timed(double& seconds_out, Fn&& fn) {
   auto start = std::chrono::steady_clock::now();

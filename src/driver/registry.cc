@@ -12,6 +12,7 @@
 #include "src/cluster/datacenter.h"
 #include "src/fault/fault_plan.h"
 #include "src/power/price_curve.h"
+#include "src/trace/trace_io.h"
 #include "src/trace/trace_source.h"
 #include "src/util/edit_distance.h"
 #include "src/util/logging.h"
@@ -343,8 +344,23 @@ std::vector<ScenarioKnob> MakeKnobs() {
       });
   add("run_scheduling", "bool", "run the Algorithm-1 scheduling co-simulation",
       BoolKnob(&ScenarioConfig::run_scheduling));
-  add("scheduling_horizon_seconds", "double > 0", "co-simulation horizon",
-      PositiveDoubleKnob(&ScenarioConfig::scheduling_horizon_seconds));
+  add("scheduling_horizon_seconds", "double in (0, 31536000]",
+      "co-simulation horizon, at most one year",
+      [](ScenarioConfig& config, std::string_view value, std::string* error) {
+        // The job stream is generated up front over the whole horizon, so an
+        // unbounded horizon is an unbounded allocation. One year is far past
+        // every preset (the longest runs a day).
+        constexpr double kMaxHorizonSeconds = 365.0 * 24.0 * 3600.0;
+        double parsed = 0.0;
+        if (!ParseDouble(value, &parsed, error)) {
+          return false;
+        }
+        if (parsed <= 0.0 || parsed > kMaxHorizonSeconds) {
+          return Fail(error, "value must be > 0 and at most one year (31536000 seconds)");
+        }
+        config.scheduling_horizon_seconds = parsed;
+        return true;
+      });
   add("mean_interarrival_seconds", "double > 0", "Poisson job interarrival mean",
       PositiveDoubleKnob(&ScenarioConfig::mean_interarrival_seconds));
   add("job_duration_factor", "double > 0", "job length multiplier (§6.1 scaling)",
@@ -414,8 +430,6 @@ std::vector<ScenarioKnob> MakeKnobs() {
   add("run_durability", "bool", "run the storage durability grid",
       BoolKnob(&ScenarioConfig::run_durability));
   add("storage_blocks", "int > 0", "blocks created per cell of the storage co-simulation grid",
-      PositiveIntKnob(&ScenarioConfig::storage_blocks));
-  add("durability_blocks", "int > 0", "deprecated alias for storage_blocks",
       PositiveIntKnob(&ScenarioConfig::storage_blocks));
   add("access_rate", "double >= 0",
       "client accesses per hour injected into the durability timeline (0 = none)",
@@ -571,7 +585,7 @@ OverrideStatus ApplyScenarioOverrideStatus(ScenarioConfig& config, std::string_v
   if (closest != nullptr && CloseEnoughToSuggest(key, best)) {
     message += "; did you mean '" + std::string(closest->name) + "'?";
   }
-  Fail(error, message + " (see harvest_sim --knobs)");
+  Fail(error, message + " (see harvest_sim --list-knobs)");
   return OverrideStatus::kUnknownKey;
 }
 
@@ -597,14 +611,16 @@ std::string ValidateScenario(const ScenarioConfig& config) {
   }
   const TraceSource source = MakeTraceSource(config);
   if (source.is_replay()) {
-    // Resolve every datacenter's trace file up front so a typo'd directory
-    // or label is a usage error (with did-you-mean) before any work runs,
-    // not a mid-run abort from the fleet-build stage. File *integrity* is
-    // still checked at read time.
+    // Resolve every datacenter's trace file and check its header up front,
+    // so a typo'd directory or label (with did-you-mean) or a bad header is
+    // an error before any work runs, not a mid-run abort from the
+    // fleet-build stage. Payload integrity is still checked at read time.
     for (const std::string& label : ScenarioLabels(config)) {
       std::string path;
       std::string error;
-      if (!source.ResolveTraceFile(label, &path, &error)) {
+      TraceFileInfo info;
+      if (!source.ResolveTraceFile(label, &path, &error) ||
+          !ReadTraceFileHeader(path, &info, &error)) {
         return error;
       }
     }

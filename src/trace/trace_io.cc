@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <unordered_map>
 #include <memory>
 #include <span>
@@ -17,6 +18,8 @@ constexpr char kMagic[8] = {'H', 'R', 'V', 'T', 'R', 'A', 'C', 'E'};
 // multi-terabyte allocation. Far above any real fleet this driver builds.
 constexpr uint64_t kMaxCount = uint64_t{1} << 32;
 constexpr uint32_t kMaxNameBytes = 4096;
+// Magic, version, then four u64 counts.
+constexpr size_t kHeaderBytes = sizeof(kMagic) + 4 + 4 * 8;
 
 // --- Little-endian primitives ---------------------------------------------
 // Byte-by-byte on purpose: the format is defined little-endian regardless of
@@ -127,6 +130,56 @@ bool Fail(std::string* error, std::string message) {
   return false;
 }
 
+// Parses the fixed-size header at the front of a `file_bytes`-long trace
+// file: magic, version, count caps, and counts whose minimum encoding fits
+// in the bytes after the header. Every record has a fixed minimum size (a
+// series is at least its 8-byte length), so counts the file cannot hold are
+// corrupt -- rejected here, before anything is sized from them.
+bool ParseHeader(Reader& reader, uint64_t file_bytes, const std::string& path,
+                 TraceFileInfo* header, std::string* error) {
+  auto malformed = [&](const char* what) {
+    return Fail(error, std::string("trace file '") + path + "' is malformed (" + what + ")");
+  };
+  char magic[sizeof(kMagic)];
+  if (!reader.Bytes(magic, sizeof(magic)) || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+    return Fail(error, "'" + path + "' is not a harvest trace file (bad magic)");
+  }
+  if (!reader.U32(&header->version)) {
+    return malformed("truncated header");
+  }
+  if (header->version != kTraceFileVersion) {
+    return Fail(error, "trace file '" + path + "' has unsupported version " +
+                           std::to_string(header->version) + " (this build reads version " +
+                           std::to_string(kTraceFileVersion) + ")");
+  }
+  uint64_t trace_slots = 0;
+  uint64_t num_tenants = 0;
+  uint64_t num_servers = 0;
+  uint64_t num_traces = 0;
+  if (!reader.U64(&trace_slots) || !reader.U64(&num_tenants) || !reader.U64(&num_servers) ||
+      !reader.U64(&num_traces)) {
+    return malformed("truncated header");
+  }
+  if (trace_slots > kMaxCount || num_tenants > kMaxCount || num_servers > kMaxCount ||
+      num_traces > kMaxCount) {
+    return malformed("implausible counts");
+  }
+  // The caps above keep this sum far from overflow.
+  constexpr uint64_t kMinTraceBytes = 8;
+  constexpr uint64_t kMinTenantBytes = 4 + 1 + 8 + 4 + 8;
+  constexpr uint64_t kMinServerBytes = 4 * 4 + 8 + 8 + 8;
+  if (num_traces * kMinTraceBytes + num_tenants * kMinTenantBytes +
+          num_servers * kMinServerBytes >
+      file_bytes - reader.position()) {
+    return malformed("counts exceed file size");
+  }
+  header->trace_slots = static_cast<size_t>(trace_slots);
+  header->tenants = static_cast<size_t>(num_tenants);
+  header->servers = static_cast<size_t>(num_servers);
+  header->shared_traces = static_cast<size_t>(num_traces);
+  return true;
+}
+
 }  // namespace
 
 bool WriteClusterTraceFile(const Cluster& cluster, const std::string& path,
@@ -195,6 +248,20 @@ bool WriteClusterTraceFile(const Cluster& cluster, const std::string& path,
   return true;
 }
 
+bool ReadTraceFileHeader(const std::string& path, TraceFileInfo* info, std::string* error) {
+  std::error_code size_error;
+  const uintmax_t file_bytes = std::filesystem::file_size(path, size_error);
+  std::FILE* file = size_error ? nullptr : std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    return Fail(error, "cannot open trace file '" + path + "'");
+  }
+  char buffer[kHeaderBytes];
+  const size_t n = std::fread(buffer, 1, sizeof(buffer), file);
+  std::fclose(file);
+  Reader reader(buffer, n);
+  return ParseHeader(reader, file_bytes, path, info, error);
+}
+
 bool ReadClusterTraceFile(const std::string& path, Cluster* cluster, TraceFileInfo* info,
                           std::string* error) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
@@ -218,35 +285,14 @@ bool ReadClusterTraceFile(const std::string& path, Cluster* cluster, TraceFileIn
   };
 
   Reader reader(data.data(), data.size());
-  char magic[sizeof(kMagic)];
-  if (!reader.Bytes(magic, sizeof(magic)) || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Fail(error, "'" + path + "' is not a harvest trace file (bad magic)");
-  }
   TraceFileInfo header;
-  uint64_t trace_slots = 0;
-  uint64_t num_tenants = 0;
-  uint64_t num_servers = 0;
-  uint64_t num_traces = 0;
-  if (!reader.U32(&header.version)) {
-    return malformed("truncated header");
+  if (!ParseHeader(reader, data.size(), path, &header, error)) {
+    return false;
   }
-  if (header.version != kTraceFileVersion) {
-    return Fail(error, "trace file '" + path + "' has unsupported version " +
-                           std::to_string(header.version) + " (this build reads version " +
-                           std::to_string(kTraceFileVersion) + ")");
-  }
-  if (!reader.U64(&trace_slots) || !reader.U64(&num_tenants) || !reader.U64(&num_servers) ||
-      !reader.U64(&num_traces)) {
-    return malformed("truncated header");
-  }
-  if (trace_slots > kMaxCount || num_tenants > kMaxCount || num_servers > kMaxCount ||
-      num_traces > kMaxCount) {
-    return malformed("implausible counts");
-  }
-  header.trace_slots = static_cast<size_t>(trace_slots);
-  header.tenants = static_cast<size_t>(num_tenants);
-  header.servers = static_cast<size_t>(num_servers);
-  header.shared_traces = static_cast<size_t>(num_traces);
+  const uint64_t trace_slots = header.trace_slots;
+  const uint64_t num_tenants = header.tenants;
+  const uint64_t num_servers = header.servers;
+  const uint64_t num_traces = header.shared_traces;
 
   std::vector<std::shared_ptr<const UtilizationTrace>> pool;
   pool.reserve(static_cast<size_t>(num_traces));

@@ -65,6 +65,12 @@ bool WriteClusterTraceFile(const Cluster& cluster, const std::string& path, std:
 bool ReadClusterTraceFile(const std::string& path, Cluster* cluster, TraceFileInfo* info,
                           std::string* error);
 
+// Reads and checks only the header of `path` (magic, version, count caps,
+// counts that fit the file's size) -- a few dozen bytes, so the driver runs
+// it on every replayed file before the run starts. A file that passes can
+// still fail ReadClusterTraceFile on a corrupt payload.
+bool ReadTraceFileHeader(const std::string& path, TraceFileInfo* info, std::string* error);
+
 }  // namespace harvest
 
 #endif  // HARVEST_SRC_TRACE_TRACE_IO_H_

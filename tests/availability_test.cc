@@ -1,9 +1,9 @@
-#include "src/experiments/availability.h"
-
 #include <gtest/gtest.h>
 
 #include "src/cluster/datacenter.h"
 #include "src/experiments/cluster_scaling.h"
+#include "src/experiments/storage_cosim.h"
+#include "src/util/rng.h"
 
 namespace harvest {
 namespace {
@@ -18,31 +18,40 @@ Cluster BaseCluster(uint64_t seed) {
   return BuildCluster(DatacenterByName("DC-9"), options, rng);
 }
 
-AvailabilityOptions FastOptions(PlacementKind placement, int replication, uint64_t seed) {
-  AvailabilityOptions options;
+constexpr int64_t kAccesses = 20000;
+
+// One Fig-16 cell on `cluster` as-is (callers scale it first): kAccesses
+// uniform accesses over two days, no reimages, every replica behind the 66%
+// primary-utilization wall.
+StorageCosimResult RunAvailability(const Cluster& cluster, PlacementKind placement,
+                                   int replication, uint64_t seed) {
+  StorageTimelineOptions timeline_options;
+  timeline_options.uniform_accesses = kAccesses;
+  timeline_options.access_horizon_seconds = kSlotsPerDay * 2 * kSlotSeconds;
+  timeline_options.access_seed = DerivedStreamSeed(seed, "accesses");
+
+  StorageCosimOptions options;
   options.placement = placement;
   options.replication = replication;
   options.num_blocks = 5000;
-  options.num_accesses = 20000;
-  options.horizon_seconds = kSlotsPerDay * 2 * kSlotSeconds;
-  options.seed = seed;
-  return options;
+  options.primary_aware_access = true;
+  options.writer_seed = seed;
+  options.policy_seed = DerivedStreamSeed(seed, PlacementKindName(placement));
+  return RunStorageCosim(cluster, BuildStorageTimeline(cluster, timeline_options), options);
 }
 
 TEST(AvailabilityTest, LowUtilizationHasNoFailures) {
   Cluster cluster = ScaleClusterUtilization(BaseCluster(1), ScalingMethod::kLinear, 0.15);
-  AvailabilityResult result =
-      RunAvailabilityExperiment(cluster, FastOptions(PlacementKind::kHistory, 3, 1));
-  EXPECT_EQ(result.failed, 0);
-  EXPECT_NEAR(result.average_utilization, 0.15, 0.03);
+  StorageCosimResult result = RunAvailability(cluster, PlacementKind::kHistory, 3, 1);
+  EXPECT_EQ(result.stats.failed_accesses, 0);
+  EXPECT_NEAR(cluster.AverageUtilization(), 0.15, 0.03);
 }
 
 TEST(AvailabilityTest, SaturatedClusterFailsMostAccesses) {
   Cluster cluster = ScaleClusterUtilization(BaseCluster(2), ScalingMethod::kLinear, 0.9);
-  AvailabilityResult result =
-      RunAvailabilityExperiment(cluster, FastOptions(PlacementKind::kHistory, 3, 2));
+  StorageCosimResult result = RunAvailability(cluster, PlacementKind::kHistory, 3, 2);
   // Nearly everything sits above the 66% wall.
-  EXPECT_GT(result.failed_percent, 40.0);
+  EXPECT_GT(result.failed_access_percent, 40.0);
 }
 
 TEST(AvailabilityTest, FailureRateMonotoneInUtilization) {
@@ -50,10 +59,9 @@ TEST(AvailabilityTest, FailureRateMonotoneInUtilization) {
   double previous = -1.0;
   for (double target : {0.3, 0.5, 0.7}) {
     Cluster cluster = ScaleClusterUtilization(base, ScalingMethod::kLinear, target);
-    AvailabilityResult result =
-        RunAvailabilityExperiment(cluster, FastOptions(PlacementKind::kStock, 3, 3));
-    EXPECT_GE(result.failed_percent, previous - 0.2);  // small noise slack
-    previous = result.failed_percent;
+    StorageCosimResult result = RunAvailability(cluster, PlacementKind::kStock, 3, 3);
+    EXPECT_GE(result.failed_access_percent, previous - 0.2);  // small noise slack
+    previous = result.failed_access_percent;
   }
 }
 
@@ -61,40 +69,33 @@ TEST(AvailabilityTest, HistoryBeatsStockAtModerateUtilization) {
   // The Fig 16 claim: at utilizations around 45-55%, HDFS-H's placement
   // diversity keeps accesses available while stock placement fails.
   Cluster cluster = ScaleClusterUtilization(BaseCluster(4), ScalingMethod::kLinear, 0.5);
-  double stock = RunAvailabilityExperiment(cluster, FastOptions(PlacementKind::kStock, 3, 4))
-                     .failed_percent;
-  double history =
-      RunAvailabilityExperiment(cluster, FastOptions(PlacementKind::kHistory, 3, 4))
-          .failed_percent;
+  double stock = RunAvailability(cluster, PlacementKind::kStock, 3, 4).failed_access_percent;
+  double history = RunAvailability(cluster, PlacementKind::kHistory, 3, 4).failed_access_percent;
   EXPECT_LE(history, stock);
 }
 
 TEST(AvailabilityTest, MoreReplicasImproveAvailability) {
   Cluster cluster = ScaleClusterUtilization(BaseCluster(5), ScalingMethod::kLinear, 0.55);
   for (PlacementKind placement : {PlacementKind::kStock, PlacementKind::kHistory}) {
-    double three =
-        RunAvailabilityExperiment(cluster, FastOptions(placement, 3, 5)).failed_percent;
-    double four =
-        RunAvailabilityExperiment(cluster, FastOptions(placement, 4, 5)).failed_percent;
+    double three = RunAvailability(cluster, placement, 3, 5).failed_access_percent;
+    double four = RunAvailability(cluster, placement, 4, 5).failed_access_percent;
     EXPECT_LE(four, three + 0.1) << PlacementKindName(placement);
   }
 }
 
 TEST(AvailabilityTest, DeterministicForSeed) {
   Cluster cluster = ScaleClusterUtilization(BaseCluster(6), ScalingMethod::kLinear, 0.5);
-  AvailabilityOptions options = FastOptions(PlacementKind::kHistory, 3, 6);
-  AvailabilityResult a = RunAvailabilityExperiment(cluster, options);
-  AvailabilityResult b = RunAvailabilityExperiment(cluster, options);
-  EXPECT_EQ(a.failed, b.failed);
+  StorageCosimResult a = RunAvailability(cluster, PlacementKind::kHistory, 3, 6);
+  StorageCosimResult b = RunAvailability(cluster, PlacementKind::kHistory, 3, 6);
+  EXPECT_EQ(a.stats.failed_accesses, b.stats.failed_accesses);
 }
 
 TEST(AvailabilityTest, AccountsAllAccesses) {
   Cluster cluster = BaseCluster(7);
-  AvailabilityOptions options = FastOptions(PlacementKind::kStock, 3, 7);
-  AvailabilityResult result = RunAvailabilityExperiment(cluster, options);
-  EXPECT_EQ(result.accesses, options.num_accesses);
-  EXPECT_GE(result.failed, 0);
-  EXPECT_LE(result.failed, result.accesses);
+  StorageCosimResult result = RunAvailability(cluster, PlacementKind::kStock, 3, 7);
+  EXPECT_EQ(result.stats.accesses, kAccesses);
+  EXPECT_GE(result.stats.failed_accesses, 0);
+  EXPECT_LE(result.stats.failed_accesses, result.stats.accesses);
 }
 
 // Property: root scaling delays the *onset* of unavailability relative to
@@ -110,11 +111,8 @@ TEST_P(ScalingComparisonTest, RootDelaysUnavailabilityOnset) {
   Cluster linear = ScaleClusterUtilization(base, ScalingMethod::kLinear, target);
   Cluster root = ScaleClusterUtilization(base, ScalingMethod::kRoot, target);
   double linear_failed =
-      RunAvailabilityExperiment(linear, FastOptions(PlacementKind::kHistory, 3, 8))
-          .failed_percent;
-  double root_failed =
-      RunAvailabilityExperiment(root, FastOptions(PlacementKind::kHistory, 3, 8))
-          .failed_percent;
+      RunAvailability(linear, PlacementKind::kHistory, 3, 8).failed_access_percent;
+  double root_failed = RunAvailability(root, PlacementKind::kHistory, 3, 8).failed_access_percent;
   EXPECT_LE(root_failed, linear_failed + 0.5);
 }
 

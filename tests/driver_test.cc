@@ -14,6 +14,7 @@
 #include "src/driver/result_json.h"
 #include "src/driver/scenario.h"
 #include "src/driver/stage.h"
+#include "src/trace/trace_io.h"
 
 namespace harvest {
 namespace {
@@ -171,9 +172,6 @@ TEST(ScenarioOverrideTest, RoundTripsEveryKnobKind) {
   EXPECT_FALSE(config.run_durability);
   ASSERT_TRUE(ApplyScenarioOverride(config, "storage_blocks", "2500", &error)) << error;
   EXPECT_EQ(config.storage_blocks, 2500);
-  // The deprecated alias still lands on the same field.
-  ASSERT_TRUE(ApplyScenarioOverride(config, "durability_blocks", "3000", &error)) << error;
-  EXPECT_EQ(config.storage_blocks, 3000);
   ASSERT_TRUE(ApplyScenarioOverride(config, "access_rate", "6.5", &error)) << error;
   EXPECT_DOUBLE_EQ(config.access_rate, 6.5);
   ASSERT_TRUE(ApplyScenarioOverride(config, "placement_kinds", "stock,history,soft", &error))
@@ -212,7 +210,7 @@ TEST(ScenarioOverrideTest, UnknownKeyAndMalformedValueAreUsageErrors) {
   EXPECT_FALSE(ApplyScenarioOverride(config, "fleet_scale", "-1", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "fleet_scale", "0.5x", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "run_durability", "maybe", &error));
-  EXPECT_FALSE(ApplyScenarioOverride(config, "durability_blocks", "12.5", &error));
+  EXPECT_FALSE(ApplyScenarioOverride(config, "storage_blocks", "12.5", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "datacenters", "DC-11", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "replications", "3,99", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "scheduling_storage", "hdfs", &error));
@@ -224,8 +222,7 @@ TEST(ScenarioOverrideTest, UnknownKeyAndMalformedValueAreUsageErrors) {
   EXPECT_FALSE(ApplyScenarioOverride(config, "placement_kinds", "", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "access_rate", "-1", &error));
   // Out-of-range values must error, not clamp (ERANGE) or truncate (narrowing).
-  EXPECT_FALSE(
-      ApplyScenarioOverride(config, "durability_blocks", "99999999999999999999", &error));
+  EXPECT_FALSE(ApplyScenarioOverride(config, "storage_blocks", "99999999999999999999", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "placement_sample_blocks", "4294967296", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "elbow_min_gain", "1e999", &error));
 }
@@ -253,6 +250,16 @@ TEST(ScenarioOverrideTest, UnknownKeyAndBadValueAreDistinctStatuses) {
   EXPECT_EQ(ApplyScenarioOverrideStatus(config, "trace_dir", "some/dir", &error),
             OverrideStatus::kOk);
   EXPECT_EQ(config.trace_dir, "some/dir");
+  // The co-simulation horizon is bounded at one year: a huge horizon is a
+  // bad value here, not an out-of-memory abort once the run starts.
+  EXPECT_EQ(ApplyScenarioOverrideStatus(config, "scheduling_horizon_seconds", "1e300", &error),
+            OverrideStatus::kBadValue);
+  EXPECT_NE(error.find("one year"), std::string::npos) << error;
+  EXPECT_EQ(
+      ApplyScenarioOverrideStatus(config, "scheduling_horizon_seconds", "31536000", &error),
+      OverrideStatus::kOk);
+  EXPECT_EQ(ApplyScenarioOverrideStatus(config, "scheduling_horizon_seconds", "0", &error),
+            OverrideStatus::kBadValue);
 }
 
 TEST(ScenarioOverrideTest, ValidateScenarioCatchesCrossKnobConflicts) {
@@ -598,6 +605,25 @@ TEST(TraceReplayTest, ValidateScenarioRejectsBadReplayConfigs) {
   config.trace_dir = "definitely/not/a/real/dir";
   error = ValidateScenario(config);
   EXPECT_NE(error.find("not a directory"), std::string::npos) << error;
+
+  // A header whose counts the file cannot hold (here 2^32 shared traces in a
+  // 48-byte file) is rejected before the run, not by a fleet-build abort.
+  const std::string dir = FreshTempDir("hostile");
+  {
+    std::string header = "HRVTRACE";
+    for (int i = 0; i < 4; ++i) {
+      header.push_back(static_cast<char>((kTraceFileVersion >> (8 * i)) & 0xff));
+    }
+    header.append(3 * 8, '\0');                 // trace_slots, tenants, servers
+    header += std::string("\0\0\0\0\1\0\0\0", 8);  // num_traces = 2^32
+    header.append(4, '\0');
+    std::ofstream(dir + "/DC-9.trace", std::ios::binary) << header;
+  }
+  config = *FindScenario("storage_stress");
+  config.trace_dir = dir;
+  error = ValidateScenario(config);
+  EXPECT_NE(error.find("malformed"), std::string::npos) << error;
+  std::filesystem::remove_all(dir);
 }
 
 // ISSUE-8 satellite: the trace manifest records the canonical fault plan of

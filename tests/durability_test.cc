@@ -1,8 +1,9 @@
-#include "src/experiments/durability.h"
-
 #include <gtest/gtest.h>
 
 #include "src/cluster/datacenter.h"
+#include "src/experiments/storage_cosim.h"
+#include "src/trace/reimage.h"
+#include "src/util/rng.h"
 
 namespace harvest {
 namespace {
@@ -17,14 +18,21 @@ Cluster ReimagingCluster(uint64_t seed, int months) {
   return BuildCluster(DatacenterByName("DC-7"), options, rng);
 }
 
-DurabilityOptions FastOptions(PlacementKind placement, int replication, uint64_t seed) {
-  DurabilityOptions options;
+StorageCosimOptions FastOptions(PlacementKind placement, int replication, uint64_t seed) {
+  StorageCosimOptions options;
   options.placement = placement;
   options.replication = replication;
   options.num_blocks = 20000;
-  options.months = 6;
-  options.seed = seed;
+  options.writer_seed = seed;
+  options.policy_seed = DerivedStreamSeed(seed, PlacementKindName(placement));
   return options;
+}
+
+// One Fig-15 cell: six months of the cluster's reimages, no client accesses.
+StorageCosimResult RunDurability(const Cluster& cluster, const StorageCosimOptions& options) {
+  StorageTimelineOptions timeline_options;
+  timeline_options.reimage_horizon_seconds = 6.0 * kSecondsPerMonth;
+  return RunStorageCosim(cluster, BuildStorageTimeline(cluster, timeline_options), options);
 }
 
 TEST(DurabilityTest, PlacementKindNames) {
@@ -37,8 +45,7 @@ TEST(DurabilityTest, PlacementKindNames) {
 
 TEST(DurabilityTest, RunsAndAccountsBlocks) {
   Cluster cluster = ReimagingCluster(1, 6);
-  DurabilityResult result =
-      RunDurabilityExperiment(cluster, FastOptions(PlacementKind::kHistory, 3, 1));
+  StorageCosimResult result = RunDurability(cluster, FastOptions(PlacementKind::kHistory, 3, 1));
   EXPECT_EQ(result.stats.blocks_created, 20000);
   EXPECT_GT(result.reimage_events, 0);
   EXPECT_GE(result.lost_percent, 0.0);
@@ -56,48 +63,43 @@ TEST(DurabilityTest, HistoryBeatsStockAtThreeWayReplication) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     Cluster cluster = ReimagingCluster(seed * 100, 6);
     stock_lost +=
-        RunDurabilityExperiment(cluster, FastOptions(PlacementKind::kStock, 3, seed)).stats
-            .blocks_lost;
+        RunDurability(cluster, FastOptions(PlacementKind::kStock, 3, seed)).stats.blocks_lost;
     history_lost +=
-        RunDurabilityExperiment(cluster, FastOptions(PlacementKind::kHistory, 3, seed)).stats
-            .blocks_lost;
+        RunDurability(cluster, FastOptions(PlacementKind::kHistory, 3, seed)).stats.blocks_lost;
   }
   EXPECT_LT(history_lost, stock_lost);
 }
 
 TEST(DurabilityTest, FourWayReplicationLosesNoMoreThanThreeWay) {
   Cluster cluster = ReimagingCluster(7, 6);
-  DurabilityResult three =
-      RunDurabilityExperiment(cluster, FastOptions(PlacementKind::kStock, 3, 7));
-  DurabilityResult four =
-      RunDurabilityExperiment(cluster, FastOptions(PlacementKind::kStock, 4, 7));
+  StorageCosimResult three = RunDurability(cluster, FastOptions(PlacementKind::kStock, 3, 7));
+  StorageCosimResult four = RunDurability(cluster, FastOptions(PlacementKind::kStock, 4, 7));
   EXPECT_LE(four.stats.blocks_lost, three.stats.blocks_lost);
 }
 
 TEST(DurabilityTest, HistoryFourWayEliminatesLoss) {
   // Fig 15: under four-way replication HDFS-H eliminates data loss.
   Cluster cluster = ReimagingCluster(9, 6);
-  DurabilityResult result =
-      RunDurabilityExperiment(cluster, FastOptions(PlacementKind::kHistory, 4, 9));
+  StorageCosimResult result = RunDurability(cluster, FastOptions(PlacementKind::kHistory, 4, 9));
   EXPECT_EQ(result.stats.blocks_lost, 0);
 }
 
 TEST(DurabilityTest, SlowerRereplicationLosesMoreBlocks) {
   Cluster cluster = ReimagingCluster(11, 6);
-  DurabilityOptions fast = FastOptions(PlacementKind::kStock, 3, 11);
-  DurabilityOptions slow = fast;
+  StorageCosimOptions fast = FastOptions(PlacementKind::kStock, 3, 11);
+  StorageCosimOptions slow = fast;
   slow.rereplication_blocks_per_hour = 0.2;  // ~5 hours per block
   slow.detection_delay_seconds = 3600.0 * 6;
-  DurabilityResult fast_result = RunDurabilityExperiment(cluster, fast);
-  DurabilityResult slow_result = RunDurabilityExperiment(cluster, slow);
+  StorageCosimResult fast_result = RunDurability(cluster, fast);
+  StorageCosimResult slow_result = RunDurability(cluster, slow);
   EXPECT_GE(slow_result.stats.blocks_lost, fast_result.stats.blocks_lost);
 }
 
 TEST(DurabilityTest, DeterministicForSeed) {
   Cluster cluster = ReimagingCluster(13, 6);
-  DurabilityOptions options = FastOptions(PlacementKind::kHistory, 3, 13);
-  DurabilityResult a = RunDurabilityExperiment(cluster, options);
-  DurabilityResult b = RunDurabilityExperiment(cluster, options);
+  StorageCosimOptions options = FastOptions(PlacementKind::kHistory, 3, 13);
+  StorageCosimResult a = RunDurability(cluster, options);
+  StorageCosimResult b = RunDurability(cluster, options);
   EXPECT_EQ(a.stats.blocks_lost, b.stats.blocks_lost);
   EXPECT_EQ(a.stats.rereplications_completed, b.stats.rereplications_completed);
 }
@@ -111,8 +113,7 @@ TEST_P(ReplicationMonotoneTest, MoreReplicasNeverLoseMore) {
   Cluster cluster = ReimagingCluster(17, 6);
   double previous = 1e18;
   for (int replication : {2, 3, 4}) {
-    DurabilityResult result =
-        RunDurabilityExperiment(cluster, FastOptions(GetParam(), replication, 17));
+    StorageCosimResult result = RunDurability(cluster, FastOptions(GetParam(), replication, 17));
     EXPECT_LE(result.lost_percent, previous + 1e-9);
     previous = result.lost_percent;
   }

@@ -199,6 +199,36 @@ TEST_F(TraceIoTest, RejectsOutOfRangeReferences) {
   EXPECT_FALSE(ReadClusterTraceFile(PathFor("corrupt.trace"), &out, &info, &error));
 }
 
+TEST_F(TraceIoTest, RejectsCountsTheFileCannotHold) {
+  // A 48-byte file: valid magic and version, then num_traces = 2^32 (inside
+  // the count cap) with nothing behind it. The reader must call it malformed
+  // before sizing anything from the count, not die allocating 2^32 traces.
+  Cluster fleet = BuildFleet(11, true);
+  std::string error;
+  ASSERT_TRUE(WriteClusterTraceFile(fleet, PathFor("ok.trace"), &error)) << error;
+  std::string data = ReadAll(PathFor("ok.trace")).substr(0, 12);  // magic + version
+  for (uint64_t field : {uint64_t{0}, uint64_t{0}, uint64_t{0}, uint64_t{1} << 32}) {
+    for (int i = 0; i < 8; ++i) {
+      data.push_back(static_cast<char>((field >> (8 * i)) & 0xff));
+    }
+  }
+  data.append(4, '\0');
+  ASSERT_EQ(data.size(), 48u);
+  WriteAll(PathFor("DC-9.trace"), data);
+  Cluster out;
+  TraceFileInfo info;
+  EXPECT_FALSE(ReadClusterTraceFile(PathFor("DC-9.trace"), &out, &info, &error));
+  EXPECT_NE(error.find("malformed"), std::string::npos) << error;
+  // The header-only check the driver runs before a replay agrees, and
+  // accepts the intact file it was cut from.
+  error.clear();
+  EXPECT_FALSE(ReadTraceFileHeader(PathFor("DC-9.trace"), &info, &error));
+  EXPECT_NE(error.find("counts exceed file size"), std::string::npos) << error;
+  ASSERT_TRUE(ReadTraceFileHeader(PathFor("ok.trace"), &info, &error)) << error;
+  EXPECT_EQ(info.servers, fleet.num_servers());
+  EXPECT_EQ(info.tenants, fleet.num_tenants());
+}
+
 TEST_F(TraceIoTest, RejectsTracelessServers) {
   // A server with no utilization trace violates the cluster invariant
   // (Server::utilization never null after construction); the writer encodes
