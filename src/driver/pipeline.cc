@@ -12,6 +12,7 @@
 #include "src/util/executor.h"
 #include "src/driver/registry.h"
 #include "src/driver/result_json.h"
+#include "src/experiments/cluster_scaling.h"
 #include "src/fault/fault_plan.h"
 #include "src/jobs/tpcds.h"
 #include "src/trace/trace_source.h"
@@ -111,8 +112,17 @@ DatacenterResult RunDatacenterStages(const DcContext& ctx) {
       Timed(dc.timing.clustering_seconds, [&] { return RunClusteringStage(ctx, fleet.cluster); });
   if (ctx.config->run_scheduling) {
     dc.has_scheduling = true;
+    const Cluster* sim_cluster = &fleet.cluster;
+    Cluster rescaled;
+    if (ctx.config->scheduling_target_utilization > 0.0) {
+      rescaled = Timed(dc.timing.rescale_seconds, [&] {
+        return ScaleClusterUtilization(fleet.cluster, ScalingMethod::kRoot,
+                                       ctx.config->scheduling_target_utilization);
+      });
+      sim_cluster = &rescaled;
+    }
     dc.scheduling = Timed(dc.timing.scheduling_seconds,
-                          [&] { return RunSchedulingStage(ctx, fleet.cluster); });
+                          [&] { return RunSchedulingStage(ctx, *sim_cluster); });
     dc.timing.arena_high_water_bytes = dc.scheduling.arena_high_water_bytes;
     if (ctx.config->power_accounting) {
       dc.has_power = true;

@@ -194,14 +194,17 @@ Apply PositiveDoubleKnob(double ScenarioConfig::* field) {
   };
 }
 
-Apply FractionKnob(double ScenarioConfig::* field) {
-  return [field](ScenarioConfig& config, std::string_view value, std::string* error) {
+// `include_one = false` makes the range [0, 1): for targets no rescale can
+// reach, where 1 would only fail once the run had started.
+Apply FractionKnob(double ScenarioConfig::* field, bool include_one = true) {
+  return [field, include_one](ScenarioConfig& config, std::string_view value,
+                              std::string* error) {
     double parsed = 0.0;
     if (!ParseDouble(value, &parsed, error)) {
       return false;
     }
-    if (parsed < 0.0 || parsed > 1.0) {
-      return Fail(error, "value must be in [0, 1]");
+    if (parsed < 0.0 || parsed > 1.0 || (parsed == 1.0 && !include_one)) {
+      return Fail(error, include_one ? "value must be in [0, 1]" : "value must be in [0, 1)");
     }
     config.*field = parsed;
     return true;
@@ -382,9 +385,10 @@ std::vector<ScenarioKnob> MakeKnobs() {
         }
         return true;
       });
-  add("scheduling_target_utilization", "double in [0, 1]",
-      "root-scale the fleet to this average before scheduling (0 = as generated)",
-      FractionKnob(&ScenarioConfig::scheduling_target_utilization));
+  add("scheduling_target_utilization", "double in [0, 1)",
+      "root-scale the fleet to this average before scheduling (0 = as generated; "
+      "1 is unreachable)",
+      FractionKnob(&ScenarioConfig::scheduling_target_utilization, /*include_one=*/false));
   add("power_accounting", "bool",
       "energy / cost accounting riding the scheduling co-simulation (adds the "
       "\"energy\" block)",

@@ -251,6 +251,7 @@ void WriteTiming(JsonWriter& json, const ScenarioResult& result) {
     json.Field("arena_high_water_bytes", dc.timing.arena_high_water_bytes);
     json.Field("clustering_seconds", dc.timing.clustering_seconds);
     if (dc.has_scheduling) {
+      json.Field("rescale_seconds", dc.timing.rescale_seconds);
       json.Field("scheduling_seconds", dc.timing.scheduling_seconds);
     }
     if (dc.has_power) {

@@ -6,7 +6,6 @@
 
 #include "src/util/executor.h"
 #include "src/driver/stage.h"
-#include "src/experiments/cluster_scaling.h"
 #include "src/experiments/scheduling_sim.h"
 #include "src/signal/pattern.h"
 #include "src/util/logging.h"
@@ -38,15 +37,8 @@ SchedulingRunResult FlattenRun(const SchedulingSimResult& result) {
 
 }  // namespace
 
-SchedulingStageResult RunSchedulingStage(const DcContext& ctx, const Cluster& cluster) {
+SchedulingStageResult RunSchedulingStage(const DcContext& ctx, const Cluster& sim_cluster) {
   const ScenarioConfig& config = *ctx.config;
-  const Cluster* sim_cluster = &cluster;
-  Cluster rescaled;
-  if (config.scheduling_target_utilization > 0.0) {
-    rescaled = ScaleClusterUtilization(cluster, ScalingMethod::kRoot,
-                                       config.scheduling_target_utilization);
-    sim_cluster = &rescaled;
-  }
 
   SchedulingSimOptions options;
   options.clustering = config.clustering;
@@ -83,7 +75,7 @@ SchedulingStageResult RunSchedulingStage(const DcContext& ctx, const Cluster& cl
     std::string fault_error;
     HARVEST_CHECK(ParseFaultPlan(config.fault_plan, &fault_plan, &fault_error))
         << fault_error;
-    fault_timeline = CompileFaultPlan(fault_plan, *sim_cluster, ctx.StreamSeed("fault"));
+    fault_timeline = CompileFaultPlan(fault_plan, sim_cluster, ctx.StreamSeed("fault"));
     if (!fault_timeline.empty()) {
       options.faults = &fault_timeline;
     }
@@ -104,7 +96,7 @@ SchedulingStageResult RunSchedulingStage(const DcContext& ctx, const Cluster& cl
   ParallelForIndex(std::min(ctx.task_threads, 2), 2, [&](int i) {
     SchedulingSimOptions task_options = options;
     task_options.mode = modes[i];
-    runs[i] = RunSchedulingSimulation(*sim_cluster, *ctx.suite, task_options);
+    runs[i] = RunSchedulingSimulation(sim_cluster, *ctx.suite, task_options);
   });
   SchedulingSimResult& baseline = runs[0];
   SchedulingSimResult& history = runs[1];

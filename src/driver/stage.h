@@ -168,7 +168,10 @@ struct SchedulingStageResult {
   std::vector<SchedulingClassResult> class_diagnostics;
 };
 
-SchedulingStageResult RunSchedulingStage(const DcContext& ctx, const Cluster& cluster);
+// `sim_cluster` is the fleet the co-simulations run on: the caller has
+// already root-scaled it to `scheduling_target_utilization` when that is set
+// (pipeline.cc times the rescale on its own).
+SchedulingStageResult RunSchedulingStage(const DcContext& ctx, const Cluster& sim_cluster);
 
 // --- PowerStage -----------------------------------------------------------
 // Derives the per-DC energy / cost report from the scheduling stage's
@@ -331,6 +334,9 @@ struct DcStageTiming {
   // memory telemetry riding the timing block, stripped like the wall times.
   int64_t arena_high_water_bytes = 0;
   double clustering_seconds = 0.0;
+  // The utilization rescale ahead of the scheduling co-simulations, which
+  // scheduling_seconds does not include.
+  double rescale_seconds = 0.0;
   double scheduling_seconds = 0.0;
   double power_seconds = 0.0;
   double placement_seconds = 0.0;

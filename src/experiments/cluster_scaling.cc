@@ -1,24 +1,28 @@
 #include "src/experiments/cluster_scaling.h"
 
-#include <unordered_map>
 #include <memory>
+
+#include "src/cluster/fleet_table.h"
 
 namespace harvest {
 
 Cluster ScaleClusterUtilization(const Cluster& cluster, ScalingMethod method,
                                 double target_average) {
-  // Solve the scaling parameter on the per-server traces (deduplicated, so
-  // shared tenant traces are not over-weighted relative to their server
-  // counts -- the fleet average weights each server equally, so we keep one
-  // entry per server but avoid copying shared traces).
-  std::vector<UtilizationTrace> flat;
-  flat.reserve(cluster.num_servers());
-  for (const auto& server : cluster.servers()) {
-    if (server.utilization) {
-      flat.push_back(*server.utilization);
+  // The fleet average weights every server sample equally, so solve over the
+  // distinct (pooled) traces, each weighted by the servers sharing it: the
+  // same average as the per-server list, at O(distinct samples) per step.
+  // Servers without samples have no pool index and carry no weight.
+  const FleetTable table(cluster);
+  std::vector<WeightedTrace> population(static_cast<size_t>(table.num_traces()));
+  for (int32_t t = 0; t < table.num_traces(); ++t) {
+    population[static_cast<size_t>(t)].trace = table.trace(t);
+  }
+  for (int32_t index : table.trace_index()) {
+    if (index >= 0) {
+      ++population[static_cast<size_t>(index)].count;
     }
   }
-  double parameter = SolveScalingParameter(flat, method, target_average);
+  const double parameter = SolveScalingParameter(population, method, target_average);
 
   Cluster scaled = cluster;
   // Scale tenant average traces.
@@ -26,21 +30,20 @@ Cluster ScaleClusterUtilization(const Cluster& cluster, ScalingMethod method,
     PrimaryTenant& tenant = scaled.tenant(static_cast<TenantId>(t));
     tenant.average_utilization = ScaleTrace(tenant.average_utilization, method, parameter);
   }
-  // Scale server traces, re-sharing identical source traces. Lookup-only
-  // (never iterated), so the address key cannot leak into results.
-  std::unordered_map<const UtilizationTrace*, std::shared_ptr<const UtilizationTrace>> memo;
+  // Scale each pooled trace once; servers sharing a source trace share its
+  // scaled copy.
+  std::vector<std::shared_ptr<const UtilizationTrace>> pool(population.size());
   for (size_t s = 0; s < scaled.num_servers(); ++s) {
-    Server& server = scaled.server(static_cast<ServerId>(s));
-    if (!server.utilization) {
+    const int32_t index = table.trace_index()[s];
+    if (index < 0) {
       continue;
     }
-    auto it = memo.find(server.utilization.get());
-    if (it == memo.end()) {
-      auto scaled_trace = std::make_shared<const UtilizationTrace>(
-          ScaleTrace(*server.utilization, method, parameter));
-      it = memo.emplace(server.utilization.get(), std::move(scaled_trace)).first;
+    std::shared_ptr<const UtilizationTrace>& scaled_trace = pool[static_cast<size_t>(index)];
+    if (!scaled_trace) {
+      scaled_trace = std::make_shared<const UtilizationTrace>(
+          ScaleTrace(*table.trace(index), method, parameter));
     }
-    server.utilization = it->second;
+    scaled.server(static_cast<ServerId>(s)).utilization = scaled_trace;
   }
   return scaled;
 }

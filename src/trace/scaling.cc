@@ -19,17 +19,41 @@ double ApplyScale(double u, ScalingMethod method, double parameter) {
   return u;
 }
 
-double ScaledAverage(const std::vector<UtilizationTrace>& traces, ScalingMethod method,
-                     double parameter) {
+// Scaled sample average of the population at `parameter`, and its derivative
+// in the parameter: the mean of u^p·ln u for root scaling, and of u over the
+// unsaturated samples (f·u < 1) for linear scaling. Each trace is summed
+// once and weighted by its count.
+struct AverageAndSlope {
+  double average = 0.0;
+  double slope = 0.0;
+};
+
+AverageAndSlope ScaledAverage(const std::vector<WeightedTrace>& population,
+                              ScalingMethod method, double parameter) {
   double sum = 0.0;
-  size_t count = 0;
-  for (const auto& trace : traces) {
-    for (double v : trace.samples()) {
-      sum += ApplyScale(v, method, parameter);
-      ++count;
+  double slope = 0.0;
+  double count = 0.0;
+  for (const WeightedTrace& entry : population) {
+    double trace_sum = 0.0;
+    double trace_slope = 0.0;
+    for (double u : entry.trace->samples()) {
+      const double v = ApplyScale(u, method, parameter);
+      trace_sum += v;
+      if (method == ScalingMethod::kLinear) {
+        trace_slope += v < 1.0 ? u : 0.0;
+      } else if (u > 0.0) {
+        trace_slope += v * std::log(u);
+      }
     }
+    const double weight = static_cast<double>(entry.count);
+    sum += weight * trace_sum;
+    slope += weight * trace_slope;
+    count += weight * static_cast<double>(entry.trace->size());
   }
-  return count == 0 ? 0.0 : sum / static_cast<double>(count);
+  if (count == 0.0) {
+    return {};
+  }
+  return {sum / count, slope / count};
 }
 
 }  // namespace
@@ -53,38 +77,60 @@ UtilizationTrace ScaleTrace(const UtilizationTrace& trace, ScalingMethod method,
   return UtilizationTrace(std::move(scaled));
 }
 
-double SolveScalingParameter(const std::vector<UtilizationTrace>& traces, ScalingMethod method,
+double SolveScalingParameter(const std::vector<WeightedTrace>& population, ScalingMethod method,
                              double target_average) {
   HARVEST_CHECK(target_average > 0.0 && target_average < 1.0)
       << "target average must be in (0,1), got " << target_average;
 
-  // Scaled average is monotone in the parameter for both methods (increasing
-  // in the factor for linear, decreasing in the power for root), so bisection
-  // converges. Bracket generously.
-  double lo;
-  double hi;
-  bool increasing;
-  if (method == ScalingMethod::kLinear) {
-    lo = 0.0;
-    hi = 200.0;
-    increasing = true;
-  } else {
-    lo = 0.01;  // u^0.01 -> ~1 (max utilization)
-    hi = 50.0;  // u^50 -> ~0
-    increasing = false;
-  }
-
-  for (int iter = 0; iter < 80; ++iter) {
-    double mid = 0.5 * (lo + hi);
-    double avg = ScaledAverage(traces, method, mid);
-    bool too_low = avg < target_average;
-    if (too_low == increasing) {
-      lo = mid;
-    } else {
-      hi = mid;
+  // The scaled average is monotone in the parameter for both methods
+  // (increasing in the factor for linear, decreasing in the power for root),
+  // so the sign of each residual says which side of the root the evaluated
+  // point lies on, and that end of the bracket moves to it. Bracket
+  // generously.
+  const bool increasing = method == ScalingMethod::kLinear;
+  double lo = increasing ? 0.0 : 0.01;   // root: u^0.01 -> ~1 (max utilization)
+  double hi = increasing ? 200.0 : 50.0;  // root: u^50 -> ~0
+  // Newton converges quadratically here, so once a step is this small the
+  // stepped-to point is within rounding of the root.
+  constexpr double kRelativeStep = 1e-12;
+  constexpr int kMaxIterations = 100;  // bisection alone needs under 50
+  double x = 1.0;
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
+    const AverageAndSlope at = ScaledAverage(population, method, x);
+    const double residual = at.average - target_average;
+    if (residual == 0.0) {
+      return x;
     }
+    if ((residual < 0.0) == increasing) {
+      lo = x;
+    } else {
+      hi = x;
+    }
+    // Bisect when the Newton step would leave the bracket, or has no slope
+    // to step on (every sample saturated or zero).
+    double next = 0.5 * (lo + hi);
+    if (at.slope != 0.0) {
+      const double newton = x - residual / at.slope;
+      if (newton > lo && newton < hi) {
+        next = newton;
+      }
+    }
+    if (std::abs(next - x) <= kRelativeStep * x) {
+      return next;
+    }
+    x = next;
   }
-  return 0.5 * (lo + hi);
+  return x;
+}
+
+double SolveScalingParameter(const std::vector<UtilizationTrace>& traces, ScalingMethod method,
+                             double target_average) {
+  std::vector<WeightedTrace> population;
+  population.reserve(traces.size());
+  for (const UtilizationTrace& trace : traces) {
+    population.push_back({&trace, 1});
+  }
+  return SolveScalingParameter(population, method, target_average);
 }
 
 std::vector<UtilizationTrace> ScaleToAverage(const std::vector<UtilizationTrace>& traces,

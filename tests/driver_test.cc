@@ -260,6 +260,15 @@ TEST(ScenarioOverrideTest, UnknownKeyAndBadValueAreDistinctStatuses) {
       OverrideStatus::kOk);
   EXPECT_EQ(ApplyScenarioOverrideStatus(config, "scheduling_horizon_seconds", "0", &error),
             OverrideStatus::kBadValue);
+  // No rescale reaches an average utilization of 1: a bad value here, not a
+  // solver abort once the run starts.
+  EXPECT_EQ(ApplyScenarioOverrideStatus(config, "scheduling_target_utilization", "1", &error),
+            OverrideStatus::kBadValue);
+  EXPECT_NE(error.find("[0, 1)"), std::string::npos) << error;
+  EXPECT_EQ(ApplyScenarioOverrideStatus(config, "scheduling_target_utilization", "0.99", &error),
+            OverrideStatus::kOk);
+  EXPECT_EQ(ApplyScenarioOverrideStatus(config, "scheduling_target_utilization", "0", &error),
+            OverrideStatus::kOk);
 }
 
 TEST(ScenarioOverrideTest, ValidateScenarioCatchesCrossKnobConflicts) {
@@ -414,7 +423,7 @@ TEST(DriverPipelineTest, TimingTelemetryIsRenderedAndStrippable) {
   EXPECT_GE(timing.fleet_build_seconds, 0.0);
   EXPECT_GE(timing.durability_seconds, 0.0);
   // Stage times are measured inside the DC's own wall time.
-  EXPECT_LE(timing.fleet_build_seconds + timing.clustering_seconds +
+  EXPECT_LE(timing.fleet_build_seconds + timing.clustering_seconds + timing.rescale_seconds +
                 timing.scheduling_seconds + timing.placement_seconds +
                 timing.durability_seconds + timing.availability_seconds,
             timing.total_seconds + 1e-6);

@@ -42,7 +42,9 @@ for golden in "${goldens[@]}"; do
     echo "OK: $base matches blessed results"
   else
     echo "FAIL: $base differs from blessed $golden" >&2
-    echo "      (diff it; if the change is intentional, run tools/bless_goldens.sh)" >&2
+    # The first lines of the diff name the moved fields in the CI log.
+    diff "$golden" "$tmp/$base.json" | head -n 20 >&2 || true
+    echo "      (if the change is intentional, run tools/bless_goldens.sh)" >&2
     status=1
   fi
 done

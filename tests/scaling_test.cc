@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/trace/generators.h"
 
 namespace harvest {
@@ -93,13 +95,80 @@ TEST_P(ScaleTargetTest, HitsTargetAverage) {
   auto [method, target] = GetParam();
   std::vector<UtilizationTrace> traces = MakeTraces(11);
   auto scaled = ScaleToAverage(traces, method, target);
-  EXPECT_NEAR(PopulationAverage(scaled), target, 0.01);
+  EXPECT_NEAR(PopulationAverage(scaled), target, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ScaleTargetTest,
     ::testing::Combine(::testing::Values(ScalingMethod::kLinear, ScalingMethod::kRoot),
                        ::testing::Values(0.15, 0.30, 0.45, 0.60, 0.75)));
+
+// The weighted solve over distinct traces is the solve over the expanded
+// list with every trace repeated `count` times.
+class WeightedSolveTest
+    : public ::testing::TestWithParam<std::tuple<ScalingMethod, double>> {};
+
+TEST_P(WeightedSolveTest, MatchesExpandedList) {
+  auto [method, target] = GetParam();
+  std::vector<UtilizationTrace> distinct = MakeTraces(17);
+  const int64_t counts[] = {5, 1, 12};
+  std::vector<WeightedTrace> population;
+  std::vector<UtilizationTrace> expanded;
+  for (size_t i = 0; i < distinct.size(); ++i) {
+    population.push_back({&distinct[i], counts[i]});
+    for (int64_t c = 0; c < counts[i]; ++c) {
+      expanded.push_back(distinct[i]);
+    }
+  }
+  const double weighted = SolveScalingParameter(population, method, target);
+  const double flat = SolveScalingParameter(expanded, method, target);
+  EXPECT_NEAR(weighted, flat, 1e-12 * flat);
+  EXPECT_NEAR(PopulationAverage(ScaleToAverage(expanded, method, target)), target, 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, WeightedSolveTest,
+    ::testing::Combine(::testing::Values(ScalingMethod::kLinear, ScalingMethod::kRoot),
+                       ::testing::Values(0.15, 0.45, 0.75)));
+
+TEST(ScalingTest, EmptyTracesCarryNoWeight) {
+  std::vector<UtilizationTrace> traces = MakeTraces(19);
+  UtilizationTrace empty;
+  for (ScalingMethod method : {ScalingMethod::kLinear, ScalingMethod::kRoot}) {
+    std::vector<WeightedTrace> population = {{&traces[0], 3}, {&traces[1], 2}};
+    const double without = SolveScalingParameter(population, method, 0.4);
+    population.insert(population.begin() + 1, {&empty, 50});
+    EXPECT_EQ(SolveScalingParameter(population, method, 0.4), without);
+  }
+}
+
+TEST(ScalingTest, RootKeepsZeroAndOneSamples) {
+  // 0 and 1 are fixed points of u^p: only the 0.5 sample moves, so the
+  // target pins it to 3 * 0.45 - 1 = 0.35.
+  std::vector<UtilizationTrace> traces = {UtilizationTrace({0.0, 1.0, 0.5})};
+  const double p = SolveScalingParameter(traces, ScalingMethod::kRoot, 0.45);
+  EXPECT_NEAR(p, std::log(0.35) / std::log(0.5), 1e-9);
+  auto scaled = ScaleToAverage(traces, ScalingMethod::kRoot, 0.45);
+  EXPECT_DOUBLE_EQ(scaled[0].AtSlot(0), 0.0);
+  EXPECT_DOUBLE_EQ(scaled[0].AtSlot(1), 1.0);
+  EXPECT_NEAR(PopulationAverage(scaled), 0.45, 1e-9);
+}
+
+TEST(ScalingTest, LinearTargetThatSaturatesMostSamples) {
+  // At the root nine of ten samples sit on the min(1, f*u) kink's flat
+  // side, where the derivative is the one small sample alone.
+  std::vector<double> samples(9, 0.9);
+  samples.push_back(0.01);
+  std::vector<UtilizationTrace> traces = {UtilizationTrace(samples)};
+  const double f = SolveScalingParameter(traces, ScalingMethod::kLinear, 0.95);
+  EXPECT_NEAR(f, 50.0, 1e-9);
+  EXPECT_NEAR(PopulationAverage(ScaleToAverage(traces, ScalingMethod::kLinear, 0.95)), 0.95,
+              1e-9);
+  // Samples that are already 1 saturate at every factor >= 1.
+  std::vector<UtilizationTrace> ones = {UtilizationTrace({1.0, 1.0, 1.0, 0.2})};
+  EXPECT_NEAR(PopulationAverage(ScaleToAverage(ones, ScalingMethod::kLinear, 0.3)), 0.3, 1e-9);
+  EXPECT_NEAR(PopulationAverage(ScaleToAverage(ones, ScalingMethod::kLinear, 0.9)), 0.9, 1e-9);
+}
 
 TEST(ScalingTest, SolveIsMonotoneInTarget) {
   std::vector<UtilizationTrace> traces = MakeTraces(13);
