@@ -194,8 +194,8 @@ Apply PositiveDoubleKnob(double ScenarioConfig::* field) {
   };
 }
 
-// `include_one = false` makes the range [0, 1): for targets no rescale can
-// reach, where 1 would only fail once the run had started.
+// `include_one = false` narrows the range to [0, 1), for a target average
+// that no rescale reaches at 1: rejected here, not mid-run.
 Apply FractionKnob(double ScenarioConfig::* field, bool include_one = true) {
   return [field, include_one](ScenarioConfig& config, std::string_view value,
                               std::string* error) {

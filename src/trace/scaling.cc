@@ -19,15 +19,15 @@ double ApplyScale(double u, ScalingMethod method, double parameter) {
   return u;
 }
 
-// Scaled sample average of the population at `parameter`, and its derivative
-// in the parameter: the mean of u^p·ln u for root scaling, and of u over the
-// unsaturated samples (f·u < 1) for linear scaling. Each trace is summed
-// once and weighted by its count.
 struct AverageAndSlope {
   double average = 0.0;
   double slope = 0.0;
 };
 
+// Scaled sample average of the population at `parameter`, and its derivative
+// in the parameter: the mean of u^p·ln u for root scaling, and of u over the
+// unsaturated samples (f·u < 1) for linear scaling. Each trace is summed
+// once and weighted by its count.
 AverageAndSlope ScaledAverage(const std::vector<WeightedTrace>& population,
                               ScalingMethod method, double parameter) {
   double sum = 0.0;
