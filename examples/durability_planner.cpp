@@ -1,58 +1,59 @@
 // Durability planning scenario: an operator wants to know how many replicas
 // harvested storage needs in a given datacenter, and how much the placement
-// policy matters. Runs the one-year reimage simulation for each policy and
-// replication level and prints a small decision table, plus the placement
-// grid that Algorithm 2 would use.
+// policy matters. Derives a one-datacenter run from the driver's fleet_sweep
+// preset -- the one-year reimage grid at 2x/3x/4x for four placement
+// policies, no scheduling -- and prints it as a small decision table, plus
+// the balance of the placement grid that Algorithm 2 uses.
 //
 // Build & run:  ./build/examples/durability_planner [DC-name]
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
-#include "src/cluster/datacenter.h"
-#include "src/core/placement_grid.h"
-#include "src/experiments/storage_cosim.h"
-#include "src/trace/reimage.h"
+#include "src/driver/pipeline.h"
+#include "src/driver/registry.h"
 
 int main(int argc, char** argv) {
   using namespace harvest;
   const std::string dc_name = argc > 1 ? argv[1] : "DC-7";
-  const DatacenterProfile& profile = DatacenterByName(dc_name);
 
-  Rng rng(11);
-  BuildOptions build;
-  build.trace_slots = kSlotsPerDay;
-  build.reimage_months = 12;
-  build.scale = 0.25;
-  build.per_server_traces = false;
-  Cluster cluster = BuildCluster(profile, build, rng);
+  ScenarioConfig config = *FindScenario("fleet_sweep");
+  const std::pair<const char*, std::string> overrides[] = {
+      {"datacenters", dc_name},
+      {"replications", "2,3,4"},
+      {"placement_kinds", "stock,random,history,soft"},
+      {"run_scheduling", "false"},
+  };
+  for (const auto& [key, value] : overrides) {
+    std::string error;
+    if (!ApplyScenarioOverride(config, key, value, &error)) {
+      std::fprintf(stderr, "durability_planner: %s\n", error.c_str());
+      return 2;
+    }
+  }
+  const ScenarioRunResult run = RunScenario(config, ScenarioRunOptions{});
+  const DatacenterResult& dc = run.result.datacenters.front();
 
   std::printf("durability planning for %s: %zu tenants, %zu servers, %lld harvestable blocks\n",
-              dc_name.c_str(), cluster.num_tenants(), cluster.num_servers(),
-              (long long)cluster.TotalHarvestableBlocks());
-
-  // The 3x3 grid Algorithm 2 will place against.
-  PlacementGrid grid = PlacementGrid::Build(CollectPlacementStats(cluster));
+              dc.name.c_str(), dc.fleet.tenants, dc.fleet.servers,
+              static_cast<long long>(dc.fleet.harvestable_blocks));
   std::printf("placement grid balance ratio: %.2f (1.0 = perfectly equal space per cell)\n\n",
-              grid.BalanceRatio());
+              dc.placement.grid_balance_ratio);
 
-  // One year of the fleet's reimages, replayed against every cell below.
-  StorageTimelineOptions timeline_options;
-  timeline_options.reimage_horizon_seconds = 12.0 * kSecondsPerMonth;
-  const StorageTimeline timeline = BuildStorageTimeline(cluster, timeline_options);
-
-  std::printf("%-14s %14s %14s %14s\n", "policy", "2x lost%", "3x lost%", "4x lost%");
-  for (PlacementKind policy : {PlacementKind::kStock, PlacementKind::kRandom,
-                               PlacementKind::kHistory, PlacementKind::kSoft}) {
-    std::printf("%-14s", PlacementKindName(policy));
-    for (int replication : {2, 3, 4}) {
-      StorageCosimOptions options;
-      options.placement = policy;
-      options.replication = replication;
-      options.num_blocks = 60000;
-      options.writer_seed = 11;
-      options.policy_seed = DerivedStreamSeed(11, PlacementKindName(policy));
-      std::printf(" %13.4f%%", RunStorageCosim(cluster, timeline, options).lost_percent);
+  // cells[r * kinds + k]: one row per policy, one column per replication.
+  const DurabilityStageResult& grid = dc.durability;
+  const size_t kinds = grid.placement_kinds.size();
+  std::printf("%-14s", "policy");
+  for (int replication : grid.replications) {
+    std::printf(" %13dx", replication);
+  }
+  std::printf("   (%% of %lld blocks lost in a year)\n",
+              static_cast<long long>(grid.cells.front().blocks));
+  for (size_t k = 0; k < kinds; ++k) {
+    std::printf("%-14s", grid.placement_kinds[k].c_str());
+    for (size_t r = 0; r < grid.replications.size(); ++r) {
+      std::printf(" %13.4f%%", grid.cells[r * kinds + k].lost_percent);
     }
     std::printf("\n");
   }

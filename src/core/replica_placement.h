@@ -35,8 +35,8 @@ class ReplicaPlacer {
     // then reverted after losses (paper §7, lesson 3).
     bool soft_constraints = false;
     // Skip the grid entirely and pick the greedy "best-first" tenant order
-    // (fewest reimages, then lowest utilization); used by the ablation bench
-    // to reproduce the flawed strawman of §4.2.
+    // (fewest reimages, then lowest utilization): PlacementKind::kGreedy,
+    // the flawed strawman of §4.2.
     bool greedy_best_first = false;
   };
 

@@ -600,12 +600,31 @@ class SchedulingSimulation {
     }
   }
 
+  // The close-out shared by reserve kills and fault evictions: the container
+  // stops running, its accounting ends, and its task returns to the AM's
+  // pending pool. False when the container is no longer running.
+  bool ReturnKilledTask(const Container& container, double now) {
+    auto it = running_.find(container.id);
+    if (it == running_.end()) {
+      return false;
+    }
+    const RunningTask task = it->second;
+    running_.erase(it);
+    if (accountant_) {
+      accountant_->OnContainerEnd(container.resources.cores, container.start_time, now);
+    }
+    jobs_.at(task.job).am->OnTaskKilled(task.stage);
+    pending_.insert(task.job);
+    ++window_kills_[container.server];
+    return true;
+  }
+
   // Applies every fault transition due by `now` (tick granularity: the
   // coarsened NM-heartbeat cadence at which the RM would observe a lost
   // server in the real system). Containers on a failing server are evicted
   // and returned to their AMs exactly like reserve kills -- same accounting
   // path -- except they are attributed to fault_evictions, not to the
-  // pattern / class kill diagnostics the ranking-weight ablation reads.
+  // per-class kill diagnostics.
   void ProcessFaultTransitions(double now) {
     while (fault_cursor_ < fault_transitions_.size() &&
            fault_transitions_[fault_cursor_].time <= now) {
@@ -618,22 +637,10 @@ class SchedulingSimulation {
       if (was_down == is_down) {
         continue;  // nested interval; the outer one already holds the server
       }
-      std::vector<Container> evicted = rm_.SetServerDown(transition.server, is_down);
-      for (const Container& container : evicted) {
-        auto it = running_.find(container.id);
-        if (it == running_.end()) {
-          continue;
+      for (const Container& container : rm_.SetServerDown(transition.server, is_down)) {
+        if (ReturnKilledTask(container, now)) {
+          ++fault_evictions_;
         }
-        RunningTask task = it->second;
-        running_.erase(it);
-        if (accountant_) {
-          accountant_->OnContainerEnd(container.resources.cores, container.start_time,
-                                      now);
-        }
-        jobs_.at(task.job).am->OnTaskKilled(task.stage);
-        pending_.insert(task.job);
-        ++window_kills_[container.server];
-        ++fault_evictions_;
       }
     }
   }
@@ -669,29 +676,14 @@ class SchedulingSimulation {
                                  rm_.group_parked().empty() ? nullptr : &rm_.group_parked());
     }
     // 1. NMs replenish reserves; killed tasks return to their AMs.
-    std::vector<Container> killed = rm_.EnforceReserves(now);
-    for (const Container& container : killed) {
-      auto it = running_.find(container.id);
-      if (it == running_.end()) {
+    for (const Container& container : rm_.EnforceReserves(now)) {
+      if (!ReturnKilledTask(container, now) || server_class_.empty()) {
         continue;
       }
-      RunningTask task = it->second;
-      running_.erase(it);
-      if (accountant_) {
-        accountant_->OnContainerEnd(container.resources.cores, container.start_time, now);
-      }
-      jobs_.at(task.job).am->OnTaskKilled(task.stage);
-      pending_.insert(task.job);  // the killed task returns to the pending pool
-      ++window_kills_[container.server];
-      UtilizationPattern pattern =
-          cluster_.tenant(cluster_.server(container.server).tenant).true_pattern;
-      ++result_.kills_by_pattern[static_cast<size_t>(pattern)];
-      if (!server_class_.empty()) {
-        ClassSchedulingDiagnostics* diag =
-            DiagnosticsForClass(server_class_[static_cast<size_t>(container.server)]);
-        if (diag != nullptr) {
-          ++diag->kills;
-        }
+      ClassSchedulingDiagnostics* diag =
+          DiagnosticsForClass(server_class_[static_cast<size_t>(container.server)]);
+      if (diag != nullptr) {
+        ++diag->kills;
       }
     }
     // 2. Pending demands retry (resources freed by kills / primary ebb).

@@ -148,11 +148,9 @@ struct SchedulingSimResult {
   // High-water mark of the RM's per-slot scratch arena (memory telemetry for
   // the driver's "timing" block; nothing deterministic reads it).
   int64_t rm_arena_high_water_bytes = 0;
-  // Telemetry by the ground-truth pattern of the hosting server's tenant
-  // (indexed by UtilizationPattern): where containers ran and where they
-  // were killed. Drives the ablation analysis of the ranking weights.
+  // Containers started, by the ground-truth pattern of the hosting server's
+  // tenant (indexed by UtilizationPattern).
   std::array<int64_t, 3> containers_by_pattern{0, 0, 0};
-  std::array<int64_t, 3> kills_by_pattern{0, 0, 0};
   // One entry per utilization class, in snapshot order; empty in PT mode.
   std::vector<ClassSchedulingDiagnostics> class_diagnostics;
   // Energy / cost ledger (power_accounting runs only).

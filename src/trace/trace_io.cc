@@ -268,7 +268,14 @@ bool ReadClusterTraceFile(const std::string& path, Cluster* cluster, TraceFileIn
   if (file == nullptr) {
     return Fail(error, "cannot open trace file '" + path + "'");
   }
+  // Reserve the whole file up front: growing the buffer by doubling holds the
+  // old and the new copy at once, up to three times the file size.
   std::string data;
+  std::error_code size_error;
+  const uintmax_t file_bytes = std::filesystem::file_size(path, size_error);
+  if (!size_error) {
+    data.reserve(static_cast<size_t>(file_bytes));
+  }
   char buffer[1 << 16];
   size_t n = 0;
   while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
