@@ -93,16 +93,50 @@ class SchedulingSimulation {
 
   SchedulingSimResult Run() {
     ScheduleArrivals();
-    queue_.Schedule(options_.tick_seconds, [this] { Tick(); });
+    queue_.Schedule(options_.tick_seconds, kTick);
     if (options_.collect_latency) {
-      queue_.Schedule(options_.latency_window_seconds, [this] { LatencyWindow(); });
+      queue_.Schedule(options_.latency_window_seconds, kLatencyWindow);
     }
     // Utilization sampling every tick is folded into Tick().
-    queue_.RunUntil(options_.horizon_seconds);
+    queue_.RunUntil(options_.horizon_seconds,
+                    [this](const EventQueue::Event& event) { Dispatch(event); });
     return Finalize();
   }
 
  private:
+  // What an EventQueue entry means here; `arg` is the suite query for
+  // arrivals and admissions, the first container id for completions.
+  enum EventKind : int32_t {
+    kArrival,
+    kAdmit,        // a deferred job reaching its target wave
+    kCompletions,  // `count` containers with ids arg, arg + 1, ...
+    kTick,
+    kLatencyWindow,
+  };
+
+  void Dispatch(const EventQueue::Event& event) {
+    switch (event.kind) {
+      case kArrival:
+        OnJobArrival(static_cast<int>(event.arg));
+        return;
+      case kAdmit:
+        AdmitJob(static_cast<int>(event.arg), queue_.now());
+        return;
+      case kCompletions:
+        for (int32_t i = 0; i < event.count; ++i) {
+          OnTaskCompletion(event.arg + i);
+        }
+        return;
+      case kTick:
+        Tick();
+        return;
+      case kLatencyWindow:
+        LatencyWindow();
+        return;
+    }
+    HARVEST_CHECK(false) << "unknown event kind " << event.kind;
+  }
+
   struct RunningTask {
     JobId job = 0;
     int stage = 0;
@@ -188,8 +222,7 @@ class SchedulingSimulation {
     Rng arrivals_rng(options_.seed ^ 0xa221ULL);
     arrivals_ = GenerateArrivals(workload, static_cast<int>(suite_.size()), arrivals_rng);
     for (const auto& arrival : arrivals_) {
-      queue_.Schedule(arrival.time_seconds,
-                      [this, query = arrival.query] { OnJobArrival(query); });
+      queue_.Schedule(arrival.time_seconds, kArrival, arrival.query);
     }
   }
 
@@ -283,8 +316,7 @@ class SchedulingSimulation {
       // separately (deferred_jobs / deferred_seconds in the energy block),
       // not folded into the H-vs-PT execution delta it would otherwise
       // dominate.
-      queue_.Schedule(queue_.now() + delay,
-                      [this, query] { AdmitJob(query, queue_.now()); });
+      queue_.Schedule(queue_.now() + delay, kAdmit, query);
       return;
     }
     AdmitJob(query, queue_.now());
@@ -378,9 +410,10 @@ class SchedulingSimulation {
   // The whole-DAG MaxConcurrentCores is only the right ask at arrival;
   // holding a half-done job to it would reject class sets that comfortably
   // host the remaining wave.
-  int RunnableDemandCores(const ActiveJob& job) const {
+  int RunnableDemandCores(const ActiveJob& job) {
     int cores = 0;
-    for (const TaskDemand& demand : job.am->RunnableTasks()) {
+    job.am->RunnableTasks(&runnable_);
+    for (const TaskDemand& demand : runnable_) {
       cores += demand.count * job.am->dag().stage(demand.stage).per_task.cores;
     }
     return std::max(1, cores);
@@ -439,7 +472,8 @@ class SchedulingSimulation {
     }
     const double now = queue_.now();
     bool allocation_short = false;  // some runnable demand went unplaced
-    for (const TaskDemand& demand : job.am->RunnableTasks()) {
+    job.am->RunnableTasks(&runnable_);
+    for (const TaskDemand& demand : runnable_) {
       const Stage& stage = job.am->dag().stage(demand.stage);
       ContainerRequest request;
       request.job = id;
@@ -469,6 +503,19 @@ class SchedulingSimulation {
       if (job.start_time < 0.0) {
         job.start_time = now;
       }
+      // Allocate issues ids consecutively, so the batch's completions -- all
+      // due at one time -- ride one queue entry, which Dispatch expands in
+      // id order. That is exact: as single entries they would have taken
+      // consecutive sequence numbers, so no other entry sorts between them,
+      // and no handler schedules at `now` (task_seconds > 0 and every tick,
+      // latency and deferral delay is positive), so nothing scheduled while
+      // the wave runs can sort inside it either. A container killed before
+      // its wave fires is skipped by OnTaskCompletion's running_ lookup.
+      HARVEST_CHECK(placed.back().id - placed.front().id ==
+                    static_cast<ContainerId>(placed.size()) - 1)
+          << "Allocate returned non-contiguous container ids";
+      queue_.Schedule(now + stage.task_seconds, kCompletions, placed.front().id,
+                      static_cast<int32_t>(placed.size()));
       for (const Container& container : placed) {
         RunningTask task{id, demand.stage, container};
         running_.emplace(container.id, task);
@@ -487,9 +534,6 @@ class SchedulingSimulation {
             diag->lease_seconds += stage.task_seconds;
           }
         }
-        queue_.Schedule(now + stage.task_seconds, [this, cid = container.id] {
-          OnTaskCompletion(cid);
-        });
       }
     }
     // A short allocation means the job's allowed classes cannot host its
@@ -701,7 +745,7 @@ class SchedulingSimulation {
     }
 
     if (now + options_.tick_seconds <= options_.horizon_seconds) {
-      queue_.Schedule(now + options_.tick_seconds, [this] { Tick(); });
+      queue_.Schedule(now + options_.tick_seconds, kTick);
     }
   }
 
@@ -733,7 +777,7 @@ class SchedulingSimulation {
     window_kills_.clear();
     window_interfering_ = 0;
     if (now + options_.latency_window_seconds <= options_.horizon_seconds) {
-      queue_.Schedule(now + options_.latency_window_seconds, [this] { LatencyWindow(); });
+      queue_.Schedule(now + options_.latency_window_seconds, kLatencyWindow);
     }
   }
 
@@ -812,6 +856,8 @@ class SchedulingSimulation {
   // retry sweep touches only jobs that can actually make progress.
   std::set<JobId> pending_;
   std::unordered_map<ContainerId, RunningTask> running_;
+  // Caller-owned AppMaster::RunnableTasks buffer, reused by every call.
+  std::vector<TaskDemand> runnable_;
   // Power subsystem: the energy / cost ledger (power_accounting runs only)
   // and the deferral valley curve, cached per telemetry slot.
   std::unique_ptr<EnergyAccountant> accountant_;

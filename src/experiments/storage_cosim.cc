@@ -1,11 +1,9 @@
 #include "src/experiments/storage_cosim.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <tuple>
 
-#include "src/sim/event_queue.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 
@@ -163,15 +161,12 @@ StorageCosimResult RunStorageCosim(const Cluster& cluster, const StorageTimeline
   }
   const uint64_t live_blocks = static_cast<uint64_t>(name_node.num_blocks());
 
-  // Replay the shared timeline event-driven: a cursor over each stream, one
-  // pending EventQueue entry at a time (the fired event schedules the next
-  // one), so the queue stays O(1)-sized and each event does only the
-  // NameNode's O(affected) work. Ordering contract, which the oracle's dense
-  // reference mirrors: events fire in time order, and a reimage fires before
-  // an access at the same timestamp. Re-replication completions ride the
-  // NameNode's own completion-time queue, drained up to `now` at every
-  // event. The callback captures one pointer, so every re-schedule copies a
-  // small-buffer std::function -- no per-event allocation.
+  // Replay the shared timeline event-driven: a cursor over each stream,
+  // merged in time order, so each event does only the NameNode's
+  // O(affected) work. Ordering contract, which the oracle's dense reference
+  // mirrors: events fire in time order, and a reimage fires before an access
+  // at the same timestamp. Re-replication completions ride the NameNode's
+  // own completion-time queue, drained up to `now` at every event.
   // ToR partition edges in time order: +1 enters a partition, -1 leaves it.
   // A per-rack depth counter composes overlapping intervals.
   struct RackTransition {
@@ -199,7 +194,6 @@ StorageCosimResult RunStorageCosim(const Cluster& cluster, const StorageTimeline
   struct Replay {
     const StorageTimeline* timeline;
     NameNode* name_node;
-    EventQueue* queue;
     StorageCosimResult* result;
     uint64_t live_blocks;
     std::vector<RackTransition>* partition_edges = nullptr;
@@ -260,20 +254,15 @@ StorageCosimResult RunStorageCosim(const Cluster& cluster, const StorageTimeline
                             event.time_seconds);
         }
       }
-      if (!Done()) {
-        queue->Schedule(NextTime(), [this] { RunNext(); });
-      }
     }
   };
-  EventQueue queue;
   StorageCosimResult result;
-  Replay replay{&timeline, &name_node, &queue,
-                &result,   live_blocks, partition_edges.empty() ? nullptr : &partition_edges,
+  Replay replay{&timeline, &name_node, &result, live_blocks,
+                partition_edges.empty() ? nullptr : &partition_edges,
                 partition_edges.empty() ? nullptr : &rack_depth};
-  if (!replay.Done()) {
-    queue.Schedule(replay.NextTime(), [&replay] { replay.RunNext(); });
+  while (!replay.Done() && replay.NextTime() <= timeline.horizon_seconds) {
+    replay.RunNext();
   }
-  queue.RunUntil(timeline.horizon_seconds);
   // Partition edges past the last timeline event still gate the drain: a
   // partition must lift at its own time before retried heals can pick the
   // rack's servers again.

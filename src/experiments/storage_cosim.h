@@ -1,8 +1,9 @@
 // Event-driven storage co-simulation (paper §6.4-§6.5, Figs 15-16). One
 // reimage/access timeline is built per datacenter and shared read-only by
 // every cell of the placement-kind x replication grid; each cell replays the
-// timeline through src/sim/event_queue against its own NameNode, with the
-// NameNode's incremental accounting doing O(affected) work per event.
+// timeline with a time-ordered cursor per stream against its own NameNode,
+// with the NameNode's incremental accounting doing O(affected) work per
+// event.
 //
 // RNG pairing, so Stock-vs-H (and every other kind pair) stays a paired
 // comparison like the paper's simulator:

@@ -24,14 +24,13 @@ bool AppMaster::StageUnlocked(int stage) const {
   return true;
 }
 
-std::vector<TaskDemand> AppMaster::RunnableTasks() const {
-  std::vector<TaskDemand> demands;
+void AppMaster::RunnableTasks(std::vector<TaskDemand>* demands) const {
+  demands->clear();
   for (int s = 0; s < dag_->num_stages(); ++s) {
     if (pending_[static_cast<size_t>(s)] > 0 && StageUnlocked(s)) {
-      demands.push_back(TaskDemand{s, pending_[static_cast<size_t>(s)]});
+      demands->push_back(TaskDemand{s, pending_[static_cast<size_t>(s)]});
     }
   }
-  return demands;
 }
 
 int AppMaster::PendingTasks() const {

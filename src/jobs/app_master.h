@@ -26,8 +26,10 @@ class AppMaster {
   const JobDag& dag() const { return *dag_; }
   double arrival_time() const { return arrival_time_; }
 
-  // Tasks that can be requested right now: pending tasks of unlocked stages.
-  std::vector<TaskDemand> RunnableTasks() const;
+  // Tasks that can be requested right now: pending tasks of unlocked
+  // stages, in stage order. Replaces the contents of the caller-owned
+  // `demands`, so a reused buffer makes the call allocation-free.
+  void RunnableTasks(std::vector<TaskDemand>* demands) const;
   // Total pending tasks across unlocked stages.
   int PendingTasks() const;
   // Total tasks currently holding containers.

@@ -90,12 +90,11 @@ bool NodeManager::RemoveContainer(ContainerId id) {
   return false;
 }
 
-std::vector<Container> NodeManager::EnforceReserve(double t) {
+std::vector<Container> NodeManager::EnforceReserve(int primary_cores) {
   std::vector<Container> killed;
   if (mode_ == SchedulerMode::kStock) {
     return killed;
   }
-  int primary_cores = PrimaryCores(t);
   int primary_memory = primary_cores * (server_->capacity.memory_mb / server_->capacity.cores);
   // Kill youngest-first until the reserve is whole again (paper §5.3).
   while (!containers_.empty()) {
@@ -122,8 +121,8 @@ int NodeManager::OvercommitCores(double t) const {
   return std::max(0, primary_cores + allocated_.cores - server_->capacity.cores);
 }
 
-double NodeManager::TotalUtilization(double t) const {
-  double primary = server_->PrimaryUtilizationAt(t) * server_->capacity.cores;
+double NodeManager::TotalUtilizationGiven(double primary_utilization) const {
+  double primary = primary_utilization * server_->capacity.cores;
   double total = primary + static_cast<double>(allocated_.cores);
   return std::min(1.0, total / server_->capacity.cores);
 }

@@ -95,10 +95,12 @@ class NodeManager {
   // Removes by container id; false when unknown.
   bool RemoveContainer(ContainerId id);
 
-  // Replenishes the reserve: kills containers youngest-first until
-  // primary + allocations + reserve fit in capacity. Stock mode never kills.
-  // Returns the killed containers (AMs must re-run their tasks).
-  std::vector<Container> EnforceReserve(double t);
+  // Replenishes the reserve against `primary_cores` of live primary usage
+  // (PrimaryCores(t); the RM passes its per-slot cache): kills containers
+  // youngest-first until primary + allocations + reserve fit in capacity.
+  // Stock mode never kills. Returns the killed containers (AMs must re-run
+  // their tasks).
+  std::vector<Container> EnforceReserve(int primary_cores);
 
   // Evicts everything at once (server power loss in the fault subsystem).
   // Returns the evicted containers; the node is left empty.
@@ -110,7 +112,12 @@ class NodeManager {
 
   // Total CPU utilization (primary + secondary) as a fraction of capacity,
   // capped at 1; the paper reports the testbed moving from 33% to 54%.
-  double TotalUtilization(double t) const;
+  double TotalUtilization(double t) const {
+    return TotalUtilizationGiven(server_->PrimaryUtilizationAt(t));
+  }
+  // The same term from a caller-supplied primary utilization fraction (one
+  // trace read per telemetry group in the RM's fleet average).
+  double TotalUtilizationGiven(double primary_utilization) const;
 
   const std::vector<Container>& containers() const { return containers_; }
   Resources allocated() const { return allocated_; }

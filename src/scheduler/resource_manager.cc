@@ -1,6 +1,7 @@
 #include "src/scheduler/resource_manager.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "src/util/executor.h"
@@ -51,6 +52,7 @@ ResourceManager::ResourceManager(const Cluster* cluster, SchedulerMode mode, Res
   for (const auto& server : cluster->servers()) {
     nodes_.emplace_back(&server, reserve, mode);
   }
+  active_.assign((nodes_.size() + 63) / 64, 0);
   // One sliding window per distinct utilization trace: the FleetTable pools
   // shared traces (per-tenant traces at DC scale) to first-appearance ids.
   trace_windows_.resize(static_cast<size_t>(table_.num_traces()));
@@ -392,7 +394,7 @@ std::vector<Container> ResourceManager::Allocate(const ContainerRequest& request
     container.resources = request.resources;
     container.start_time = t;
     nodes_[static_cast<size_t>(server)].AddContainer(container);
-    active_.insert(server);
+    SetActive(server);
     placed.push_back(container);
     ResyncNode(server);
   }
@@ -405,7 +407,7 @@ void ResourceManager::Release(const Container& container) {
   HARVEST_CHECK(removed) << "released container " << container.id << " not found on server "
                          << container.server;
   if (node.idle()) {
-    active_.erase(container.server);
+    ClearActive(container.server);
     MaybeParkOnDrain(container.server);
   }
   ResyncNode(container.server);
@@ -414,21 +416,25 @@ void ResourceManager::Release(const Container& container) {
 std::vector<Container> ResourceManager::EnforceReserves(double t) {
   EnsureSlot(t);
   std::vector<Container> killed;
-  // Snapshot: a kill can idle a node and erase it from active_ mid-sweep.
-  // active_ holds exactly the non-idle servers in ascending ServerId order,
-  // so this visits the same nodes in the same order the dense fleet sweep
-  // did (idle nodes contributed nothing there).
-  active_scratch_.assign(active_.begin(), active_.end());
-  for (ServerId s : active_scratch_) {
-    NodeManager& node = nodes_[static_cast<size_t>(s)];
-    std::vector<Container> k = node.EnforceReserve(t);
-    if (!k.empty()) {
-      if (node.idle()) {
-        active_.erase(s);
-        MaybeParkOnDrain(s);
+  // active_ holds exactly the non-idle servers, so walking its set bits in
+  // ascending order visits the same nodes in the same order the dense fleet
+  // sweep did (idle nodes contributed nothing there). A kill can clear only
+  // the bit being visited, so each word is read once, before its walk. The
+  // live primary cores come from the slot cache EnsureSlot just settled.
+  for (size_t w = 0; w < active_.size(); ++w) {
+    for (uint64_t bits = active_[w]; bits != 0; bits &= bits - 1) {
+      const size_t i = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+      const ServerId s = static_cast<ServerId>(i);
+      NodeManager& node = nodes_[i];
+      std::vector<Container> k = node.EnforceReserve(node_primary_cores_[i]);
+      if (!k.empty()) {
+        if (node.idle()) {
+          ClearActive(s);
+          MaybeParkOnDrain(s);
+        }
+        ResyncNode(s);
+        killed.insert(killed.end(), k.begin(), k.end());
       }
-      ResyncNode(s);
-      killed.insert(killed.end(), k.begin(), k.end());
     }
   }
   total_kills_ += static_cast<int64_t>(killed.size());
@@ -545,7 +551,7 @@ std::vector<Container> ResourceManager::SetServerDown(ServerId s, bool is_down) 
     // Power loss kills everything the node hosts; the caller accounts the
     // evictions (AM retries, pending re-queue) like reserve kills.
     evicted = nodes_[i].RemoveAllContainers();
-    active_.erase(s);
+    ClearActive(s);
   }
   ResyncNode(s);
   return evicted;
@@ -599,10 +605,17 @@ double ResourceManager::AverageTotalUtilization(double t) const {
   }
   // Deliberately the dense per-server sum: this is a float accumulation in
   // ServerId order, and regrouping it (per shard, per group) would change
-  // the rounding -- and therefore emitted bytes.
+  // the rounding -- and therefore emitted bytes. Only the trace read is
+  // hoisted: a telemetry group's servers share one trace, so each reads the
+  // same primary fraction, and the per-server term is unchanged.
   double sum = 0.0;
-  for (const auto& node : nodes_) {
-    sum += node.TotalUtilization(t);
+  for (int g = 0; g < table_.num_groups(); ++g) {
+    const size_t end = table_.group_end(g);
+    const int32_t trace = table_.trace_index()[table_.group_begin(g)];
+    const double primary = trace < 0 ? 0.0 : table_.trace(trace)->AtTime(t);
+    for (size_t s = table_.group_begin(g); s < end; ++s) {
+      sum += nodes_[s].TotalUtilizationGiven(primary);
+    }
   }
   return sum / static_cast<double>(nodes_.size());
 }
@@ -615,7 +628,7 @@ bool ResourceManager::AuditCachesForTest(std::string* error) const {
     return false;
   };
   for (size_t s = 0; s < nodes_.size(); ++s) {
-    if (active_.count(static_cast<ServerId>(s)) != (nodes_[s].idle() ? 0u : 1u)) {
+    if (IsActive(static_cast<ServerId>(s)) == nodes_[s].idle()) {
       return fail("active set out of sync for server " + std::to_string(s));
     }
   }

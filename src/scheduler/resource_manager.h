@@ -25,7 +25,7 @@
 // values (live primary cores, forecast cores) are computed once per
 // telemetry group and broadcast, so slot work is O(groups + active servers)
 // in the shared-trace fleets the paper models; EnforceReserves walks an
-// ordered active-node set instead of the whole fleet. Shard count and
+// active-node bitmap instead of the whole fleet. Shard count and
 // thread count are execution-layout knobs: neither may change any emitted
 // byte (src/util/sharded_picker.h has the draw-exactness argument;
 // tests/shard_determinism.sh enforces the contract end to end).
@@ -42,7 +42,6 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -108,7 +107,9 @@ class ResourceManager {
   SchedulerMode mode() const { return mode_; }
   int num_shards() const { return static_cast<int>(shard_starts_.size()); }
 
-  // Cluster-wide average total (primary + secondary) utilization at `t`.
+  // Cluster-wide average total (primary + secondary) utilization at `t`:
+  // the dense ServerId-order sum of NodeManager::TotalUtilization, with each
+  // telemetry group's trace read once.
   double AverageTotalUtilization(double t) const;
 
   int64_t total_kills() const { return total_kills_; }
@@ -258,6 +259,16 @@ class ResourceManager {
   // Parked or down: either way the server contributes {0, 0} availability
   // and weight 0 (the single predicate every cache site tests).
   bool IsUnavailable(ServerId s) const { return IsParked(s) || IsDown(s); }
+  // Active-set bitmap (see active_).
+  void SetActive(ServerId s) {
+    active_[static_cast<size_t>(s) >> 6] |= uint64_t{1} << (static_cast<size_t>(s) & 63);
+  }
+  void ClearActive(ServerId s) {
+    active_[static_cast<size_t>(s) >> 6] &= ~(uint64_t{1} << (static_cast<size_t>(s) & 63));
+  }
+  bool IsActive(ServerId s) const {
+    return (active_[static_cast<size_t>(s) >> 6] >> (static_cast<size_t>(s) & 63)) & 1;
+  }
 
   const Cluster* cluster_;
   SchedulerMode mode_;
@@ -274,11 +285,11 @@ class ResourceManager {
   int num_classes_ = 0;
   ContainerId next_container_id_ = 1;
   int64_t total_kills_ = 0;
-  // Exactly the non-idle servers, ordered by ServerId: EnforceReserves
-  // visits these and only these (the dense sweep skipped idle nodes, so the
-  // visit order -- and every emitted byte -- is unchanged).
-  std::set<ServerId> active_;
-  std::vector<ServerId> active_scratch_;  // iteration snapshot (kills mutate active_)
+  // Exactly the non-idle servers, one bit per ServerId (bit s % 64 of word
+  // s / 64): EnforceReserves visits these and only these, in ascending
+  // ServerId order (the dense sweep skipped idle nodes, so the visit order
+  // -- and every emitted byte -- is unchanged).
+  std::vector<uint64_t> active_;
 
   // --- Right-sizing state (all empty until ConfigureRightSizing) ----------
   RightSizingOptions rightsizing_;

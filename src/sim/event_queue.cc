@@ -1,37 +1,9 @@
 #include "src/sim/event_queue.h"
 
-#include <algorithm>
-#include <utility>
-
 namespace harvest {
 
-void EventQueue::Schedule(double when, Callback fn) {
-  heap_.push(Entry{std::max(when, now_), next_sequence_++, std::move(fn)});
-}
-
-bool EventQueue::RunOne() {
-  if (heap_.empty()) {
-    return false;
-  }
-  // priority_queue::top() is const; the callback is moved out via const_cast,
-  // which is safe because the entry is popped before the callback runs.
-  Entry entry = std::move(const_cast<Entry&>(heap_.top()));
-  heap_.pop();
-  now_ = entry.when;
-  entry.fn();
-  return true;
-}
-
-void EventQueue::RunUntil(double horizon) {
-  while (!heap_.empty() && heap_.top().when <= horizon) {
-    RunOne();
-  }
-  now_ = std::max(now_, horizon);
-}
-
-void EventQueue::RunAll() {
-  while (RunOne()) {
-  }
+void EventQueue::Schedule(double when, int32_t kind, int64_t arg, int32_t count) {
+  heap_.push(Event{std::max(when, now_), next_sequence_++, arg, count, kind});
 }
 
 }  // namespace harvest

@@ -21,7 +21,8 @@ JobDag TwoStageDag() {
 TEST(AppMasterTest, InitiallyOnlyRootStagesRunnable) {
   JobDag dag = TwoStageDag();
   AppMaster am(1, &dag, 100.0);
-  std::vector<TaskDemand> demands = am.RunnableTasks();
+  std::vector<TaskDemand> demands;
+  am.RunnableTasks(&demands);
   ASSERT_EQ(demands.size(), 1u);
   EXPECT_EQ(demands[0].stage, 0);
   EXPECT_EQ(demands[0].count, 3);
@@ -36,9 +37,11 @@ TEST(AppMasterTest, StageUnlocksWhenParentsComplete) {
   EXPECT_EQ(am.PendingTasks(), 0);
   EXPECT_FALSE(am.OnTaskComplete(0, 10.0));
   EXPECT_FALSE(am.OnTaskComplete(0, 10.0));
-  EXPECT_TRUE(am.RunnableTasks().empty());  // map not fully done yet
+  std::vector<TaskDemand> demands = {TaskDemand{7, 7}};  // stale contents are replaced
+  am.RunnableTasks(&demands);
+  EXPECT_TRUE(demands.empty());  // map not fully done yet
   EXPECT_FALSE(am.OnTaskComplete(0, 10.0));
-  std::vector<TaskDemand> demands = am.RunnableTasks();
+  am.RunnableTasks(&demands);
   ASSERT_EQ(demands.size(), 1u);
   EXPECT_EQ(demands[0].stage, 1);
   EXPECT_EQ(demands[0].count, 2);
@@ -65,7 +68,8 @@ TEST(AppMasterTest, KilledTasksReturnToPending) {
   am.OnTasksScheduled(0, 3);
   am.OnTaskKilled(0);
   EXPECT_EQ(am.kills(), 1);
-  std::vector<TaskDemand> demands = am.RunnableTasks();
+  std::vector<TaskDemand> demands;
+  am.RunnableTasks(&demands);
   ASSERT_EQ(demands.size(), 1u);
   EXPECT_EQ(demands[0].count, 1);  // one task must re-run
   // Re-schedule and finish everything.
@@ -83,7 +87,8 @@ TEST(AppMasterTest, PartialSchedulingTracksRemainder) {
   AppMaster am(2, &dag, 0.0);
   am.OnTasksScheduled(0, 4);
   EXPECT_EQ(am.PendingTasks(), 6);
-  std::vector<TaskDemand> demands = am.RunnableTasks();
+  std::vector<TaskDemand> demands;
+  am.RunnableTasks(&demands);
   ASSERT_EQ(demands.size(), 1u);
   EXPECT_EQ(demands[0].count, 6);
 }
@@ -95,14 +100,18 @@ TEST(AppMasterTest, DiamondDagUnlocksSinkAfterBothBranches) {
   am.OnTasksScheduled(0, 1);
   am.OnTaskComplete(0, 1.0);
   // Both branches runnable in parallel.
-  EXPECT_EQ(am.RunnableTasks().size(), 2u);
+  std::vector<TaskDemand> demands;
+  am.RunnableTasks(&demands);
+  EXPECT_EQ(demands.size(), 2u);
   am.OnTasksScheduled(1, 1);
   am.OnTasksScheduled(2, 1);
   am.OnTaskComplete(1, 2.0);
-  EXPECT_TRUE(am.RunnableTasks().empty());  // sink blocked on branch r
+  am.RunnableTasks(&demands);
+  EXPECT_TRUE(demands.empty());  // sink blocked on branch r
   am.OnTaskComplete(2, 3.0);
-  ASSERT_EQ(am.RunnableTasks().size(), 1u);
-  EXPECT_EQ(am.RunnableTasks()[0].stage, 3);
+  am.RunnableTasks(&demands);
+  ASSERT_EQ(demands.size(), 1u);
+  EXPECT_EQ(demands[0].stage, 3);
 }
 
 TEST(AppMasterTest, KillsAccumulate) {

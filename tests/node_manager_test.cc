@@ -78,9 +78,9 @@ TEST(NodeManagerTest, EnforceReserveKillsYoungestFirst) {
   nm.AddContainer(MakeContainer(1, {2, 2048}, 0.0));
   nm.AddContainer(MakeContainer(2, {2, 2048}, 10.0));
   nm.AddContainer(MakeContainer(3, {1, 2048}, 20.0));
-  EXPECT_TRUE(nm.EnforceReserve(0.0).empty());  // enough room in slot 0
+  EXPECT_TRUE(nm.EnforceReserve(nm.PrimaryCores(0.0)).empty());  // enough room in slot 0
 
-  std::vector<Container> killed = nm.EnforceReserve(120.0);
+  std::vector<Container> killed = nm.EnforceReserve(nm.PrimaryCores(120.0));
   ASSERT_FALSE(killed.empty());
   // Youngest first: container 3 dies before 2 dies before 1.
   EXPECT_EQ(killed[0].id, 3);
@@ -98,7 +98,7 @@ TEST(NodeManagerTest, EnforceReserveKillsOnlyAsNeeded) {
   NodeManager nm(&server, kDefaultReserve, SchedulerMode::kPrimaryAware);
   nm.AddContainer(MakeContainer(1, {2, 2048}, 0.0));
   nm.AddContainer(MakeContainer(2, {2, 2048}, 10.0));
-  std::vector<Container> killed = nm.EnforceReserve(120.0);
+  std::vector<Container> killed = nm.EnforceReserve(nm.PrimaryCores(120.0));
   ASSERT_EQ(killed.size(), 1u);
   EXPECT_EQ(killed[0].id, 2);
   EXPECT_EQ(nm.allocated().cores, 2);
@@ -108,7 +108,7 @@ TEST(NodeManagerTest, StockModeNeverKills) {
   Server server = MakeServer({1.0});
   NodeManager nm(&server, kDefaultReserve, SchedulerMode::kStock);
   nm.AddContainer(MakeContainer(1, {8, 8192}, 0.0));
-  EXPECT_TRUE(nm.EnforceReserve(0.0).empty());
+  EXPECT_TRUE(nm.EnforceReserve(nm.PrimaryCores(0.0)).empty());
   EXPECT_EQ(nm.OvercommitCores(0.0), 8);  // 12 primary + 8 secondary - 12
 }
 

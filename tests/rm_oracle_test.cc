@@ -8,7 +8,10 @@
 //   * checks that Allocate's Fenwick-sampled placements equal the historical
 //     dense-scan algorithm (candidate snapshot + Rng::WeightedIndex + local
 //     decrements) run on a copy of the RNG -- including that both consume
-//     the RNG stream identically.
+//     the RNG stream identically, and
+//   * checks that AverageTotalUtilization, which reads each telemetry
+//     group's trace once, equals the dense per-node TotalUtilization sum
+//     bit for bit.
 //
 // Runs >= 1000 operations in each of PT and H modes (ISSUE 3 acceptance).
 
@@ -17,6 +20,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -109,9 +114,45 @@ void ExpectClassAggregatesMatchNaive(const ResourceManager& rm, double t) {
   }
 }
 
-void RunOracle(SchedulerMode mode, uint64_t seed, int shards) {
+// The fleet average the co-simulation samples every tick, recomputed as the
+// dense ServerId-order sum of per-node TotalUtilization. Compared as bits:
+// the production sum hoists the trace read per telemetry group, and any
+// regrouping of the float additions would show here.
+void ExpectAverageUtilizationMatchesDense(const ResourceManager& rm, double t) {
+  double sum = 0.0;
+  for (ServerId s = 0; s < static_cast<ServerId>(rm.num_nodes()); ++s) {
+    sum += rm.node(s).TotalUtilization(t);
+  }
+  const double dense = sum / static_cast<double>(rm.num_nodes());
+  EXPECT_EQ(std::bit_cast<uint64_t>(rm.AverageTotalUtilization(t)),
+            std::bit_cast<uint64_t>(dense))
+      << "at t=" << t;
+}
+
+// Operation mix out of 10 draws: [0, allocate) allocates, [allocate,
+// allocate + release) releases, the rest run a reserve sweep.
+struct OpMix {
+  uint64_t allocate = 5;
+  uint64_t release = 3;
+};
+
+// A DC-0 fleet whose servers share their tenant's trace, with two server
+// shapes mixed in so telemetry groups split on capacity as well as trace.
+Cluster BuildSharedTraceCluster(uint64_t seed) {
   Rng build_rng(seed);
-  Cluster cluster = BuildTestbedCluster(48, kSlotsPerDay, build_rng);
+  BuildOptions options;
+  options.trace_slots = kSlotsPerDay;
+  options.reimage_months = 1;
+  options.scale = 0.05;
+  options.per_server_traces = false;
+  options.server_shapes = {{kDefaultServerCapacity, 7.0}, {Resources{16, 48 * 1024}, 1.0}};
+  return BuildCluster(DatacenterByName("DC-0"), options, build_rng);
+}
+
+// Drives the randomized operation sequence over `cluster`; `kills`, when
+// given, receives the RM's reserve-kill total.
+void RunOracleOn(const Cluster& cluster, SchedulerMode mode, uint64_t seed, int shards,
+                 OpMix mix, int64_t* kills = nullptr) {
   // Shard count is execution layout: every placement, aggregate, and RNG
   // draw below must be identical to the dense single-shard reference no
   // matter how the accounting is partitioned.
@@ -137,7 +178,7 @@ void RunOracle(SchedulerMode mode, uint64_t seed, int shards) {
     // telemetry slot, the rest cross one or more slot boundaries.
     t += op_rng.Uniform(0.0, 250.0);
     const uint64_t kind = op_rng.NextBounded(10);
-    if (kind < 5 || live.empty()) {
+    if (kind < mix.allocate || live.empty()) {
       ContainerRequest request;
       request.job = op;
       request.count = static_cast<int>(op_rng.UniformInt(1, 8));
@@ -167,7 +208,7 @@ void RunOracle(SchedulerMode mode, uint64_t seed, int shards) {
       EXPECT_EQ(rng.Next(), reference_rng.Next()) << "RNG streams diverged at op " << op;
       live.insert(live.end(), placed.begin(), placed.end());
       ++allocates;
-    } else if (kind < 8) {
+    } else if (kind < mix.allocate + mix.release) {
       size_t idx = static_cast<size_t>(op_rng.NextBounded(live.size()));
       rm.Release(live[idx]);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
@@ -185,10 +226,20 @@ void RunOracle(SchedulerMode mode, uint64_t seed, int shards) {
     std::string error;
     ASSERT_TRUE(rm.AuditCachesForTest(&error)) << "op " << op << ": " << error;
     ExpectClassAggregatesMatchNaive(rm, t);
+    ExpectAverageUtilizationMatchesDense(rm, t);
   }
   // The mix actually exercised the hot path.
   EXPECT_GT(allocates, kOperationsPerMode / 4);
   EXPECT_GE(kOperationsPerMode, 1000);
+  if (kills != nullptr) {
+    *kills = rm.total_kills();
+  }
+}
+
+void RunOracle(SchedulerMode mode, uint64_t seed, int shards) {
+  Rng build_rng(seed);
+  Cluster cluster = BuildTestbedCluster(48, kSlotsPerDay, build_rng);
+  RunOracleOn(cluster, mode, seed, shards, OpMix{});
 }
 
 // The H-mode forecast refresh is a sliding-window maximum (one monotonic
@@ -240,6 +291,24 @@ TEST(RmOracleTest, IncrementalAccountingMatchesFullRescanHistoryMode) {
 TEST(RmOracleTest, StockModeStaysConsistentToo) {
   for (int shards : {1, 3, 8}) {
     RunOracle(SchedulerMode::kStock, 303, shards);
+  }
+}
+
+// Shared traces are where AverageTotalUtilization's per-group trace read
+// actually spans many servers, and a kill-heavy mix (four reserve sweeps in
+// ten operations) churns the active-server bitmap that EnforceReserves
+// walks; the per-op audit checks both.
+TEST(RmOracleTest, SharedTraceFleetUnderKillHeavyMix) {
+  const Cluster cluster = BuildSharedTraceCluster(404);
+  const FleetTable table(cluster);
+  ASSERT_LT(table.num_groups(), static_cast<int>(cluster.num_servers()))
+      << "the fleet must have multi-server telemetry groups";
+  for (SchedulerMode mode : {SchedulerMode::kPrimaryAware, SchedulerMode::kHistory}) {
+    for (int shards : {1, 3}) {
+      int64_t kills = 0;
+      RunOracleOn(cluster, mode, 404, shards, OpMix{5, 1}, &kills);
+      EXPECT_GT(kills, 0) << "the mix must actually kill containers";
+    }
   }
 }
 

@@ -8,7 +8,7 @@
 // (NameNode::AuditStateForTest).
 //
 // A second suite proves the event-driven replay itself: RunStorageCosim
-// (cursor events through src/sim/event_queue) must produce results exactly
+// (a time-ordered cursor per timeline stream) must produce results exactly
 // equal to a dense reference that replays the same shared timeline in a
 // plain sorted loop with the same seeds, with full-rescan audits along the
 // way. Runs >= 1000 operations per placement kind (ISSUE 4 acceptance).
