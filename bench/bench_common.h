@@ -9,6 +9,7 @@
 #ifndef HARVEST_BENCH_BENCH_COMMON_H_
 #define HARVEST_BENCH_BENCH_COMMON_H_
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -16,14 +17,20 @@
 namespace harvest {
 
 // HARVEST_BENCH_SCALE scales fleet sizes / block counts (default 1.0 =
-// minutes-long full bench run; smaller = faster smoke run).
+// minutes-long full bench run; smaller = faster smoke run). A value that is
+// not a positive number is a usage error (exit 2), not a full run.
 inline double BenchScale() {
   const char* env = std::getenv("HARVEST_BENCH_SCALE");
   if (env == nullptr) {
     return 1.0;
   }
-  double scale = std::atof(env);
-  return scale > 0.0 ? scale : 1.0;
+  char* end = nullptr;
+  const double scale = std::strtod(env, &end);
+  if (end == env || *end != '\0' || !std::isfinite(scale) || scale <= 0.0) {
+    std::fprintf(stderr, "HARVEST_BENCH_SCALE must be a positive number, got '%s'\n", env);
+    std::exit(2);
+  }
+  return scale;
 }
 
 inline void PrintHeader(const char* figure, const char* title) {

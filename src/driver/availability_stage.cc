@@ -1,8 +1,9 @@
 // AvailabilityStage: the Fig-16 sweep -- failed-access fraction across the
-// placement-kind grid as the fleet is root-scaled across target
-// utilizations. The scaled clusters are prepared once per target and the
-// (target, kind) cells then run as independent co-simulation tasks on the
-// deterministic executor, all drawing from one shared access schedule.
+// placement-kind grid as the fleet is rescaled, by the scenario's scaling
+// method, across target utilizations. The scaled clusters are prepared once
+// per target and the (target, kind) cells then run as independent
+// co-simulation tasks on the deterministic executor, all drawing from one
+// shared access schedule.
 
 #include <algorithm>
 #include <string>
@@ -30,7 +31,7 @@ AvailabilityStageResult RunAvailabilityStage(const DcContext& ctx, const Cluster
   std::vector<double> average_utilization;
   scaled.reserve(config.availability_utilizations.size());
   for (double target : config.availability_utilizations) {
-    scaled.push_back(ScaleClusterUtilization(cluster, ScalingMethod::kRoot, target));
+    scaled.push_back(ScaleClusterUtilization(cluster, config.scaling_method, target));
     average_utilization.push_back(scaled.back().AverageUtilization());
   }
 

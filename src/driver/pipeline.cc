@@ -116,7 +116,7 @@ DatacenterResult RunDatacenterStages(const DcContext& ctx) {
     Cluster rescaled;
     if (ctx.config->scheduling_target_utilization > 0.0) {
       rescaled = Timed(dc.timing.rescale_seconds, [&] {
-        return ScaleClusterUtilization(fleet.cluster, ScalingMethod::kRoot,
+        return ScaleClusterUtilization(fleet.cluster, ctx.config->scaling_method,
                                        ctx.config->scheduling_target_utilization);
       });
       sim_cluster = &rescaled;

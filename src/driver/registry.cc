@@ -386,7 +386,7 @@ std::vector<ScenarioKnob> MakeKnobs() {
         return true;
       });
   add("scheduling_target_utilization", "double in [0, 1)",
-      "root-scale the fleet to this average before scheduling (0 = as generated; "
+      "rescale the fleet to this average before scheduling (0 = as generated; "
       "1 is unreachable)",
       FractionKnob(&ScenarioConfig::scheduling_target_utilization, /*include_one=*/false));
   add("power_accounting", "bool",

@@ -64,6 +64,47 @@ ScenarioConfig FleetSweep() {
   return config;
 }
 
+// Figs 13-14's linear half (the root half is fleet_sweep). Linear scaling
+// keeps each trace's shape and stretches its swings with the average.
+ScenarioConfig FleetSweepLinear() {
+  ScenarioConfig config = FleetSweep();
+  config.name = "fleet_sweep_linear";
+  config.description =
+      "fleet_sweep's ten-datacenter scheduling comparison (PT vs H) with the fleet "
+      "linearly scaled to 45% average utilization instead of root-scaled -- the "
+      "linear half of the paper's §6.1 Figs 13-14 sweeps; no durability run.";
+  config.scaling_method = ScalingMethod::kLinear;
+  config.run_durability = false;
+  return config;
+}
+
+ScenarioConfig AvailabilityLinear() {
+  ScenarioConfig config;
+  config.name = "availability_linear";
+  config.description =
+      "Paper Fig 16: failed block accesses as a DC-9 fleet (shared per-tenant traces, "
+      "one month of reimages) is linearly scaled from 25% to 75% average utilization, "
+      "HDFS-Stock vs HDFS-H vs HDFS-Random at 3x replication; no scheduling or "
+      "durability run.";
+  config.use_testbed = false;
+  config.datacenters = {"DC-9"};
+  config.fleet_scale = 0.25;
+  config.trace_slots = kSlotsPerDay * 2;
+  config.reimage_months = 1;
+  config.per_server_traces = false;
+  config.scaling_method = ScalingMethod::kLinear;
+  config.run_scheduling = false;
+  config.run_durability = false;
+  config.replications = {3};
+  config.placement_kinds = {PlacementKind::kStock, PlacementKind::kHistory,
+                            PlacementKind::kRandom};
+  config.run_availability = true;
+  config.availability_blocks = 40000;
+  config.availability_accesses = 150000;
+  config.availability_utilizations = {0.25, 0.35, 0.45, 0.55, 0.65, 0.75};
+  return config;
+}
+
 ScenarioConfig ReimageStorm() {
   ScenarioConfig config;
   config.name = "reimage_storm";
@@ -419,11 +460,12 @@ ScenarioConfig PartitionHealStorm() {
 }  // namespace
 
 std::vector<ScenarioConfig> BuiltinScenarioList() {
-  return {Dc9Testbed(),        FleetSweep(),        ReimageStorm(),
-          HeteroShapes(),      WeekHorizon(),       StormUnderLoad(),
-          StorageStress(),     ReplayRegression(),  WeekHorizonReplay(),
-          DiurnalPricing(),    PowerCap(),          Dc9TestbedReplay(),
-          RackOutage(),        TelemetryBlackout(), PartitionHealStorm()};
+  return {Dc9Testbed(),         FleetSweep(),        FleetSweepLinear(),
+          AvailabilityLinear(), ReimageStorm(),      HeteroShapes(),
+          WeekHorizon(),        StormUnderLoad(),    StorageStress(),
+          ReplayRegression(),   WeekHorizonReplay(), DiurnalPricing(),
+          PowerCap(),           Dc9TestbedReplay(),  RackOutage(),
+          TelemetryBlackout(),  PartitionHealStorm()};
 }
 
 TraceSource MakeTraceSource(const ScenarioConfig& config) {

@@ -22,6 +22,7 @@
 #include "src/core/utilization_clustering.h"
 #include "src/experiments/scheduling_sim.h"
 #include "src/experiments/storage_cosim.h"
+#include "src/trace/scaling.h"
 #include "src/trace/trace_source.h"
 #include "src/trace/utilization_trace.h"
 
@@ -68,10 +69,13 @@ struct ScenarioConfig {
   double job_duration_factor = 1.0;
   // Storage flavor co-simulated with the scheduler (kNone = compute only).
   StorageVariant scheduling_storage = StorageVariant::kNone;
-  // When positive, the fleet's utilization is root-scaled to this average
+  // When positive, the fleet's utilization is rescaled to this average
   // before the scheduling runs (the paper's §6.1 sweep methodology); history
   // only differentiates itself once primaries are busy enough to matter.
   double scheduling_target_utilization = 0.0;
+  // How both rescales (the scheduling target above and each availability
+  // target) reach their average (§6.1). Set by presets only: no knob.
+  ScalingMethod scaling_method = ScalingMethod::kRoot;
 
   // --- Power / cost subsystem (src/power via src/experiments) ---
   // Energy and dollar accounting riding the scheduling co-simulation's tick

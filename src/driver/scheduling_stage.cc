@@ -1,5 +1,5 @@
 // SchedulingStage: the Algorithm-1 co-simulation, YARN-H against the
-// primary-aware baseline on the same (optionally root-scaled) fleet, plus
+// primary-aware baseline on the same (optionally rescaled) fleet, plus
 // the per-class diagnostics that drive the ranking-weight investigation.
 
 #include <algorithm>

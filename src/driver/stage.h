@@ -169,8 +169,8 @@ struct SchedulingStageResult {
 };
 
 // `sim_cluster` is the fleet the co-simulations run on: the caller has
-// already root-scaled it to `scheduling_target_utilization` when that is set
-// (pipeline.cc times the rescale on its own).
+// already rescaled it (by `scaling_method`) to `scheduling_target_utilization`
+// when that is set (pipeline.cc times the rescale on its own).
 SchedulingStageResult RunSchedulingStage(const DcContext& ctx, const Cluster& sim_cluster);
 
 // --- PowerStage -----------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "src/driver/json_writer.h"
 #include "src/driver/registry.h"
@@ -126,6 +127,18 @@ TEST(ScenarioTest, ScalingClampsToWellFormedFloors) {
   ScenarioConfig same = ScaledScenario(*testbed, 1.0);
   EXPECT_EQ(same.testbed_servers, testbed->testbed_servers);
   EXPECT_EQ(same.storage_blocks, testbed->storage_blocks);
+}
+
+// Linear scaling is picked by preset, not by a knob: exactly the two linear
+// presets carry it, and every other preset keeps root scaling.
+TEST(ScenarioTest, OnlyTheLinearPresetsScaleLinearly) {
+  std::vector<std::string> linear;
+  for (const ScenarioConfig& scenario : AllScenarios()) {
+    if (scenario.scaling_method == ScalingMethod::kLinear) {
+      linear.push_back(scenario.name);
+    }
+  }
+  EXPECT_EQ(linear, (std::vector<std::string>{"fleet_sweep_linear", "availability_linear"}));
 }
 
 TEST(ScenarioRegistryTest, RejectsDuplicateAndUnnamedRegistrations) {
@@ -401,6 +414,47 @@ TEST(DriverPipelineTest, ThreadCountNeverChangesJson) {
         << "scenario " << scenario.name;
     EXPECT_FALSE(serial.json.empty());
   }
+}
+
+// The rendered `"key": {...}` object of a run's first datacenter ("" when
+// absent). The fleet, clustering and scheduling blocks hold no braces in
+// strings, so depth counting finds the end.
+std::string DcBlock(const std::string& json, const std::string& key) {
+  const size_t open = json.find("\"" + key + "\": {");
+  if (open == std::string::npos) {
+    return "";
+  }
+  int depth = 0;
+  for (size_t i = json.find('{', open); i < json.size(); ++i) {
+    depth += json[i] == '{' ? 1 : json[i] == '}' ? -1 : 0;
+    if (depth == 0) {
+      return json.substr(open, i + 1 - open);
+    }
+  }
+  return "";
+}
+
+// The preset's scaling method reaches the scheduling rescale: the same DC-9
+// fleet and classes, scheduled on a differently rescaled fleet.
+TEST(DriverPipelineTest, ScalingMethodReachesTheRescale) {
+  ScenarioRunOptions options;
+  options.seed = 42;
+  options.scale = 0.05;
+  std::string json[2];
+  int i = 0;
+  for (const char* name : {"fleet_sweep", "fleet_sweep_linear"}) {
+    ScenarioConfig config = *FindScenario(name);
+    std::string error;
+    ASSERT_TRUE(ApplyScenarioOverride(config, "datacenters", "DC-9", &error)) << error;
+    ASSERT_TRUE(ApplyScenarioOverride(config, "run_durability", "false", &error)) << error;
+    json[i++] = RunScenario(config, options).json;
+  }
+  for (const char* block : {"fleet", "clustering", "scheduling"}) {
+    EXPECT_FALSE(DcBlock(json[0], block).empty()) << block;
+  }
+  EXPECT_EQ(DcBlock(json[0], "fleet"), DcBlock(json[1], "fleet"));
+  EXPECT_EQ(DcBlock(json[0], "clustering"), DcBlock(json[1], "clustering"));
+  EXPECT_NE(DcBlock(json[0], "scheduling"), DcBlock(json[1], "scheduling"));
 }
 
 // Every run carries its own perf trajectory: the timing block is rendered,

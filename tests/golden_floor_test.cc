@@ -265,8 +265,8 @@ struct ShapeRow {
 const std::vector<std::string> kDurabilityGoldens = {
     "dc9_testbed",  "fleet_sweep",      "hetero_shapes", "reimage_storm",
     "storage_stress", "storm_under_load", "week_horizon"};
-const std::vector<std::string> kAvailabilityGoldens = {"dc9_testbed", "storage_stress",
-                                                       "week_horizon"};
+const std::vector<std::string> kAvailabilityGoldens = {"availability_linear", "dc9_testbed",
+                                                       "storage_stress", "week_horizon"};
 
 const ShapeRow kShapeRows[] = {
     {"Fig15_HLosesNoMoreThanStock",
@@ -289,7 +289,7 @@ const ShapeRow kShapeRows[] = {
      "§4.2 ablation: HDFS-H fails no more accesses than HDFS-Random",
      kAvailabilityGoldens, [](const GoldenDc& dc) { return HVersus(dc.failed, "HDFS-Random"); }},
     {"Fig16_FailedRisesWithUtilization",
-     "Fig 16 (root-scaled sweep): failed accesses do not fall as utilization rises",
+     "Fig 16: failed accesses do not fall as utilization rises",
      kAvailabilityGoldens,
      [](const GoldenDc& dc) {
        // Map neighbors of one placement are its consecutive targets.
@@ -304,10 +304,10 @@ const ShapeRow kShapeRows[] = {
        return out;
      }},
     {"Fig16_HFailsNoMoreThanStock",
-     "Fig 16 (root-scaled sweep): HDFS-H fails no more accesses than HDFS-Stock",
+     "Fig 16: HDFS-H fails no more accesses than HDFS-Stock",
      kAvailabilityGoldens, [](const GoldenDc& dc) { return HVersus(dc.failed, "HDFS-Stock"); }},
     {"Fig14_HImprovesOnPT", "Fig 14: YARN-H runs jobs faster than YARN-PT in every DC",
-     {"fleet_sweep", "dc9_testbed"},
+     {"fleet_sweep", "fleet_sweep_linear", "dc9_testbed"},
      [](const GoldenDc& dc) {
        if (!dc.improvement) {
          return std::vector<Comparison>{};
