@@ -58,7 +58,7 @@ ReplicaPlacer::ReplicaPlacer(const Cluster* cluster, const PlacementGrid* grid, 
 
 TenantId ReplicaPlacer::PickTenant(const GridCell& cell,
                                    const std::vector<EnvironmentId>& used_environments,
-                                   const ServerFilter& has_space, Rng& rng) const {
+                                   ServerFilter has_space, Rng& rng) const {
   // Random order over the cell's tenants; accept the first eligible one.
   tenant_scratch_.assign(cell.tenants.begin(), cell.tenants.end());
   LazyShuffle<TenantId> order(tenant_scratch_.data(), tenant_scratch_.size());
@@ -76,7 +76,7 @@ TenantId ReplicaPlacer::PickTenant(const GridCell& cell,
   return kInvalidTenant;
 }
 
-ServerId ReplicaPlacer::PickServer(TenantId tenant, const ServerFilter& has_space,
+ServerId ReplicaPlacer::PickServer(TenantId tenant, ServerFilter has_space,
                                    Rng& rng) const {
   const std::vector<ServerId>& servers = cluster_->tenant(tenant).servers;
   if (servers.empty()) {
@@ -112,7 +112,7 @@ ServerId ReplicaPlacer::PickServer(TenantId tenant, const ServerFilter& has_spac
 }
 
 std::vector<ServerId> ReplicaPlacer::Place(ServerId writer, int replication,
-                                           const ServerFilter& has_space, Rng& rng) const {
+                                           ServerFilter has_space, Rng& rng) const {
   if (options_.greedy_best_first) {
     return PlaceGreedy(writer, replication, has_space, rng);
   }
@@ -204,7 +204,7 @@ std::vector<ServerId> ReplicaPlacer::Place(ServerId writer, int replication,
 }
 
 ServerId ReplicaPlacer::PlaceAdditional(const std::vector<ServerId>& existing,
-                                        const ServerFilter& has_space, Rng& rng) const {
+                                        ServerFilter has_space, Rng& rng) const {
   std::vector<EnvironmentId>& used_environments = environment_scratch_;
   used_environments.clear();
   std::array<bool, kGridDim> used_rows{};
@@ -250,7 +250,7 @@ ServerId ReplicaPlacer::PlaceAdditional(const std::vector<ServerId>& existing,
 }
 
 std::vector<ServerId> ReplicaPlacer::PlaceGreedy(ServerId writer, int replication,
-                                                 const ServerFilter& has_space, Rng& rng) const {
+                                                 ServerFilter has_space, Rng& rng) const {
   // The strawman of §4.2: order tenants by (reimage rate, peak utilization)
   // and fill the "best" tenants first. Flaws: durability and availability are
   // treated sequentially, and once the good tenants fill up, the remaining

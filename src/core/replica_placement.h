@@ -17,11 +17,11 @@
 #ifndef HARVEST_SRC_CORE_REPLICA_PLACEMENT_H_
 #define HARVEST_SRC_CORE_REPLICA_PLACEMENT_H_
 
-#include <functional>
 #include <utility>
 #include <vector>
 
 #include "src/core/placement_grid.h"
+#include "src/util/function_ref.h"
 #include "src/util/rng.h"
 
 namespace harvest {
@@ -40,10 +40,10 @@ class ReplicaPlacer {
     bool greedy_best_first = false;
   };
 
-  // `server_has_space(server)` and `server_of_tenant(tenant, rng)` abstract
-  // the live file-system state so the same algorithm runs inside the real
-  // NameNode and the simulators.
-  using ServerFilter = std::function<bool(ServerId)>;
+  // `has_space(server)` abstracts the live file-system state so the same
+  // algorithm runs inside the real NameNode and the simulators. It is a
+  // non-owning reference: the callable must outlive the call.
+  using ServerFilter = FunctionRef<bool(ServerId)>;
 
   ReplicaPlacer(const Cluster* cluster, const PlacementGrid* grid)
       : ReplicaPlacer(cluster, grid, Options()) {}
@@ -52,7 +52,7 @@ class ReplicaPlacer {
   // Places `replication` replicas of a new block created by `writer`.
   // Returns the chosen servers (size <= replication; < means partial failure
   // under hard constraints). `has_space` filters candidate servers.
-  std::vector<ServerId> Place(ServerId writer, int replication, const ServerFilter& has_space,
+  std::vector<ServerId> Place(ServerId writer, int replication, ServerFilter has_space,
                               Rng& rng) const;
 
   // Chooses one destination for a re-replication of a block that already has
@@ -60,7 +60,7 @@ class ReplicaPlacer {
   // whose row and column differ from every existing replica's cell, never
   // repeat an environment, relax the row/column constraint only when no such
   // cell has room.
-  ServerId PlaceAdditional(const std::vector<ServerId>& existing, const ServerFilter& has_space,
+  ServerId PlaceAdditional(const std::vector<ServerId>& existing, ServerFilter has_space,
                            Rng& rng) const;
 
   const PlacementGrid& grid() const { return *grid_; }
@@ -69,11 +69,11 @@ class ReplicaPlacer {
   // Picks a random tenant of `cell` not in `used_environments` that has at
   // least one server passing `has_space`; returns kInvalidTenant when none.
   TenantId PickTenant(const GridCell& cell, const std::vector<EnvironmentId>& used_environments,
-                      const ServerFilter& has_space, Rng& rng) const;
-  ServerId PickServer(TenantId tenant, const ServerFilter& has_space, Rng& rng) const;
+                      ServerFilter has_space, Rng& rng) const;
+  ServerId PickServer(TenantId tenant, ServerFilter has_space, Rng& rng) const;
 
   std::vector<ServerId> PlaceGreedy(ServerId writer, int replication,
-                                    const ServerFilter& has_space, Rng& rng) const;
+                                    ServerFilter has_space, Rng& rng) const;
 
   const Cluster* cluster_;
   const PlacementGrid* grid_;

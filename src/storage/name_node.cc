@@ -1,6 +1,7 @@
 #include "src/storage/name_node.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/cluster/fleet_table.h"
 #include "src/util/logging.h"
@@ -10,6 +11,10 @@ namespace harvest {
 NameNode::NameNode(const Cluster* cluster, std::unique_ptr<PlacementPolicy> policy,
                    NameNodeOptions options, Rng* rng)
     : cluster_(cluster), policy_(std::move(policy)), options_(options), rng_(rng) {
+  HARVEST_CHECK(options_.replication >= 1 &&
+                options_.replication <= std::numeric_limits<int16_t>::max())
+      << "replication " << options_.replication << " out of range";
+  stride_ = static_cast<size_t>(options_.replication);
   data_nodes_.reserve(cluster->num_servers());
   source_free_at_.assign(cluster->num_servers(), 0.0);
   server_shard_.reserve(cluster->num_servers());
@@ -94,18 +99,15 @@ bool NameNode::ServerHasSpace(ServerId server, BlockId block) const {
   if (!dn.HasSpace()) {
     return false;
   }
-  if (block >= 0) {
-    const auto& replicas = blocks_[static_cast<size_t>(block)].replicas;
-    if (std::find(replicas.begin(), replicas.end(), server) != replicas.end()) {
-      return false;
-    }
-  }
-  return true;
+  return block < 0 || !HoldsReplica(block, server);
 }
 
 void NameNode::AddReplicaToServer(BlockId block, ServerId server) {
+  BlockState& state = blocks_[static_cast<size_t>(block)];
+  HARVEST_CHECK(static_cast<size_t>(state.count) < stride_)
+      << "block " << block << " already has " << state.count << " replicas";
   data_nodes_[static_cast<size_t>(server)].AddReplica(block);
-  blocks_[static_cast<size_t>(block)].replicas.push_back(server);
+  SlotsOf(block)[state.count++] = server;
   ++shard_live_replicas_[static_cast<size_t>(ShardOf(server))];
 }
 
@@ -122,6 +124,7 @@ BlockId NameNode::CreateBlock(ServerId writer, double now) {
     return -1;
   }
   blocks_.emplace_back();
+  replica_slots_.resize(replica_slots_.size() + stride_, kInvalidServer);
   // The block's accounting home: the shard of its lowest-id initial replica
   // (placed is sorted), fixed for the block's lifetime.
   block_home_shard_.push_back(ShardOf(placed.front()));
@@ -138,11 +141,11 @@ BlockId NameNode::CreateBlock(ServerId writer, double now) {
 AccessResult NameNode::Access(BlockId block, double now) {
   ++stats_.accesses;
   const BlockState& state = blocks_[static_cast<size_t>(block)];
-  if (state.lost || state.replicas.empty()) {
+  if (state.lost || state.count == 0) {
     ++stats_.failed_accesses;
     return AccessResult::kMissing;
   }
-  for (ServerId s : state.replicas) {
+  for (ServerId s : ReplicaServers(block)) {
     if (!data_nodes_[static_cast<size_t>(s)].Busy(now)) {
       return AccessResult::kServed;
     }
@@ -158,7 +161,7 @@ AccessResult NameNode::Access(BlockId block, double now) {
 
 void NameNode::QueueRereplication(BlockId block, double now, int attempts) {
   BlockState& state = blocks_[static_cast<size_t>(block)];
-  if (state.replicas.empty()) {
+  if (state.count == 0) {
     return;  // nothing to copy from; the block is gone
   }
   const double delay = options_.detection_delay_seconds + Backoff(attempts);
@@ -166,7 +169,7 @@ void NameNode::QueueRereplication(BlockId block, double now, int attempts) {
   // availability forward by one throttle interval (30 blocks/hour/server ->
   // 120 s each). Replicas behind a partitioned ToR cannot source a copy.
   ServerId best = kInvalidServer;
-  for (ServerId s : state.replicas) {
+  for (ServerId s : ReplicaServers(block)) {
     if (IsPartitioned(s)) {
       continue;
     }
@@ -234,21 +237,21 @@ void NameNode::OnReimage(ServerId server, double now) {
     BlockState& state = blocks_[static_cast<size_t>(block)];
     const size_t home = static_cast<size_t>(HomeShard(block));
     const bool was_under = IsUnderReplicated(state);
-    size_t index = 0;
-    while (index < state.replicas.size() && state.replicas[index] != server) {
-      ++index;
-    }
-    HARVEST_CHECK(index < state.replicas.size())
+    ServerId* slots = SlotsOf(block);
+    ServerId* const end = slots + state.count;
+    ServerId* const victim = std::find(slots, end, server);
+    HARVEST_CHECK(victim != end)
         << "DN index out of sync: block " << block << " not on server " << server;
     // Ordered erase (<= replication entries): replica order is part of the
     // deterministic tie-breaking in source selection.
-    state.replicas.erase(state.replicas.begin() + static_cast<std::ptrdiff_t>(index));
+    std::copy(victim + 1, end, victim);
+    --state.count;
     ++stats_.replicas_destroyed;
     --shard_live_replicas_[server_shard];
     if (state.lost) {
       continue;
     }
-    if (state.replicas.empty()) {
+    if (state.count == 0) {
       // The last live replica died. In-flight copies sourced from destroyed
       // replicas cannot complete: the data is unrecoverable.
       state.lost = true;
@@ -299,18 +302,18 @@ void NameNode::ProcessRereplication(double now) {
     // The copy succeeds only if the source still holds a live replica at
     // completion time (a reimage in between invalidates it) AND is still
     // reachable (a ToR partition that closed mid-copy drops it). Probe
-    // entries (source == kInvalidServer) always take this retry path:
-    // std::find misses, so IsPartitioned is never asked about the sentinel.
-    bool source_alive = std::find(state.replicas.begin(), state.replicas.end(),
-                                  pending.source) != state.replicas.end();
-    bool source_usable = source_alive && !IsPartitioned(pending.source);
+    // entries (source == kInvalidServer) always take this retry path: the
+    // replica lookup misses, so IsPartitioned is never asked about the
+    // sentinel.
+    bool source_usable =
+        HoldsReplica(pending.block, pending.source) && !IsPartitioned(pending.source);
     if (!source_usable) {
-      if (!state.replicas.empty()) {
+      if (state.count > 0) {
         QueueRereplication(pending.block, pending.ready_time, pending.attempts + 1);
       }
       continue;
     }
-    if (static_cast<int>(state.replicas.size()) >= options_.replication) {
+    if (state.count >= options_.replication) {
       continue;  // already healed (e.g., by an earlier queued copy)
     }
     // Destination: the placement policy picks a target diverse against the
@@ -325,7 +328,7 @@ void NameNode::ProcessRereplication(double now) {
     std::vector<ServerId>& existing = existing_scratch_;
     existing.clear();
     existing.push_back(pending.source);
-    for (ServerId s : state.replicas) {
+    for (ServerId s : ReplicaServers(pending.block)) {
       if (s != pending.source) {
         existing.push_back(s);
       }
@@ -342,17 +345,13 @@ void NameNode::ProcessRereplication(double now) {
     }
     AddReplicaToServer(pending.block, destination);
     ++stats_.rereplications_completed;
-    if (static_cast<int>(state.replicas.size()) < options_.replication) {
+    if (state.count < options_.replication) {
       QueueRereplication(pending.block, pending.ready_time);
     } else {
       // Healed back to target.
       --shard_under_replicated_[static_cast<size_t>(HomeShard(pending.block))];
     }
   }
-}
-
-int NameNode::LiveReplicas(BlockId block) const {
-  return static_cast<int>(blocks_[static_cast<size_t>(block)].replicas.size());
 }
 
 bool NameNode::AuditStateForTest(std::string* error) const {
@@ -373,23 +372,31 @@ bool NameNode::AuditStateForTest(std::string* error) const {
   if (block_home_shard_.size() != blocks_.size()) {
     return fail("home-shard column out of sync with the block map");
   }
+  if (replica_slots_.size() != blocks_.size() * stride_) {
+    return fail("replica slots out of sync with the block map");
+  }
   for (size_t b = 0; b < blocks_.size(); ++b) {
     const BlockState& state = blocks_[b];
     const size_t home = static_cast<size_t>(block_home_shard_[b]);
+    const std::span<const ServerId> replicas = ReplicaServers(static_cast<BlockId>(b));
+    if (state.count < 0 || static_cast<size_t>(state.count) > stride_) {
+      return fail("block " + std::to_string(b) + " has " + std::to_string(state.count) +
+                  " replicas, outside [0, " + std::to_string(stride_) + "]");
+    }
     if (state.lost) {
       ++lost_by_shard[home];
-      if (!state.replicas.empty()) {
+      if (!replicas.empty()) {
         return fail("lost block " + std::to_string(b) + " still has replicas");
       }
-    } else if (static_cast<int>(state.replicas.size()) < options_.replication) {
+    } else if (state.count < options_.replication) {
       ++under_by_shard[home];
     }
-    for (size_t i = 0; i < state.replicas.size(); ++i) {
-      const size_t s = static_cast<size_t>(state.replicas[i]);
+    for (size_t i = 0; i < replicas.size(); ++i) {
+      const size_t s = static_cast<size_t>(replicas[i]);
       ++per_server[s];
       ++replicas_by_shard[static_cast<size_t>(server_shard_[s])];
-      for (size_t j = i + 1; j < state.replicas.size(); ++j) {
-        if (state.replicas[j] == state.replicas[i]) {
+      for (size_t j = i + 1; j < replicas.size(); ++j) {
+        if (replicas[j] == replicas[i]) {
           return fail("block " + std::to_string(b) + " has duplicate replicas on server " +
                       std::to_string(s));
         }
@@ -411,9 +418,7 @@ bool NameNode::AuditStateForTest(std::string* error) const {
                   std::to_string(per_server[s]));
     }
     for (BlockId block : dn.blocks()) {
-      const auto& replicas = blocks_[static_cast<size_t>(block)].replicas;
-      if (std::find(replicas.begin(), replicas.end(), static_cast<ServerId>(s)) ==
-          replicas.end()) {
+      if (!HoldsReplica(block, static_cast<ServerId>(s))) {
         return fail("DN index of server " + std::to_string(s) + " holds stale block " +
                     std::to_string(block));
       }

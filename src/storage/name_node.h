@@ -6,12 +6,15 @@
 //
 // Accounting is *incremental* so the storage co-simulation hot path is
 // O(affected) per event instead of O(num_blocks) rescans: each DataNode
-// keeps an exact index of the blocks it hosts (with the NameNode tracking
-// every replica's slot in that index), re-replication is a queue keyed by
-// heal-completion time, and loss / under-replication / failed-access
-// aggregates are maintained at every transition. AuditStateForTest()
-// recomputes all of it by dense rescan; tests/storage_oracle_test.cc drives
-// randomized reimage/access sequences against it.
+// keeps an exact index of the blocks it hosts (replicas leave a server only
+// wholesale, when its disk is wiped), re-replication is a monotone radix
+// queue keyed by heal-completion time (src/storage/heal_queue.h), and loss /
+// under-replication / failed-access aggregates are maintained at every
+// transition. A block's live replicas sit in a fixed-stride slot of one
+// flat array (stride = target replication), not in a heap vector per block.
+// AuditStateForTest() recomputes all of it by dense rescan;
+// tests/storage_oracle_test.cc drives randomized reimage/access sequences
+// against it.
 //
 // Sharding (100k-server DCs): the accounting is additionally partitioned by
 // rack into NameNodeOptions::shards contiguous rack ranges. Heal queues are
@@ -25,14 +28,16 @@
 #ifndef HARVEST_SRC_STORAGE_NAME_NODE_H_
 #define HARVEST_SRC_STORAGE_NAME_NODE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <queue>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/storage/data_node.h"
+#include "src/storage/heal_queue.h"
 #include "src/storage/placement.h"
 #include "src/util/rng.h"
 
@@ -140,9 +145,11 @@ class NameNode {
   double heal_backlog_cleared_at() const { return heal_backlog_cleared_at_; }
 
   // Number of live replicas of `block` right now.
-  int LiveReplicas(BlockId block) const;
-  const std::vector<ServerId>& ReplicaServers(BlockId block) const {
-    return blocks_[static_cast<size_t>(block)].replicas;
+  int LiveReplicas(BlockId block) const { return blocks_[static_cast<size_t>(block)].count; }
+  // The live replicas of `block`, in creation/heal order. The view is
+  // invalidated by the next CreateBlock.
+  std::span<const ServerId> ReplicaServers(BlockId block) const {
+    return {SlotsOf(block), static_cast<size_t>(blocks_[static_cast<size_t>(block)].count)};
   }
   bool Lost(BlockId block) const { return blocks_[static_cast<size_t>(block)].lost; }
 
@@ -169,44 +176,14 @@ class NameNode {
   bool AuditStateForTest(std::string* error) const;
 
  private:
+  // A block's live replicas are the first `count` entries of its slot in
+  // replica_slots_ (stride options_.replication), in creation/heal order.
   struct BlockState {
-    std::vector<ServerId> replicas;  // live replicas, in creation/heal order
-    int inflight = 0;                // re-replications under way
+    int32_t inflight = 0;  // re-replications under way
+    int16_t count = 0;     // live replicas
     bool lost = false;
   };
-  struct PendingRereplication {
-    double ready_time = 0.0;
-    BlockId block = 0;
-    // kInvalidServer marks a probe entry: every surviving replica was behind
-    // a partitioned ToR at queue time, so nothing is copied -- the pop just
-    // re-evaluates reachability (with backoff).
-    ServerId source = kInvalidServer;
-    // Retries so far (source died, partitioned away, or no target); drives
-    // the exponential backoff.
-    int attempts = 0;
-    // Global push sequence number: the (ready_time, seq) pair is a total
-    // order over all pending heals. Heal completions tie constantly (every
-    // block wiped by one reimage and sourced from a fresh server completes
-    // at the same instant), and a heap's tie order is unspecified -- but the
-    // sharded k-way merge needs the single- and multi-queue pop orders to be
-    // THE SAME order, or the policy-RNG draw order (and every byte
-    // downstream) would depend on the shard count.
-    uint64_t seq = 0;
-  };
-  struct ReadyAfter {
-    bool operator()(const PendingRereplication& a, const PendingRereplication& b) const {
-      return a.ready_time > b.ready_time ||
-             (a.ready_time == b.ready_time && a.seq > b.seq);
-    }
-  };
-  // True when `a` pops before `b` under the (ready_time, seq) total order.
-  static bool PopsBefore(const PendingRereplication& a, const PendingRereplication& b) {
-    return a.ready_time < b.ready_time ||
-           (a.ready_time == b.ready_time && a.seq < b.seq);
-  }
-
-  using HealQueue =
-      std::priority_queue<PendingRereplication, std::vector<PendingRereplication>, ReadyAfter>;
+  static_assert(sizeof(BlockState) == 8);
 
   bool ServerHasSpace(ServerId server, BlockId block) const;
   // Queues one re-replication for `block`, choosing the least-loaded
@@ -220,7 +197,18 @@ class NameNode {
   // Attaches a replica of `block` on `server`, updating the DN index.
   void AddReplicaToServer(BlockId block, ServerId server);
   bool IsUnderReplicated(const BlockState& state) const {
-    return !state.lost && static_cast<int>(state.replicas.size()) < options_.replication;
+    return !state.lost && state.count < options_.replication;
+  }
+  ServerId* SlotsOf(BlockId block) {
+    return replica_slots_.data() + static_cast<size_t>(block) * stride_;
+  }
+  const ServerId* SlotsOf(BlockId block) const {
+    return replica_slots_.data() + static_cast<size_t>(block) * stride_;
+  }
+  // True when `server` holds a live replica of `block`.
+  bool HoldsReplica(BlockId block, ServerId server) const {
+    const std::span<const ServerId> replicas = ReplicaServers(block);
+    return std::find(replicas.begin(), replicas.end(), server) != replicas.end();
   }
   // The accounting shard of `server` (contiguous rack ranges).
   int32_t ShardOf(ServerId server) const {
@@ -244,6 +232,9 @@ class NameNode {
   Rng* rng_;
   std::vector<DataNode> data_nodes_;
   std::vector<BlockState> blocks_;
+  // Replica slots of every block, options_.replication (= stride_) each.
+  size_t stride_ = 0;
+  std::vector<ServerId> replica_slots_;
   // Earliest time each server can source its next re-replication.
   std::vector<double> source_free_at_;
   // --- Sharded accounting (ISSUE 6) ---------------------------------------

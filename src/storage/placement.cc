@@ -16,7 +16,7 @@ bool AlreadyChosen(const std::vector<ServerId>& replicas, ServerId server) {
 // `replicas`; kInvalidServer if none. Samples without building a filtered
 // copy when the pool is large.
 ServerId PickFrom(const std::vector<ServerId>& pool, const std::vector<ServerId>& replicas,
-                  const ServerSpaceFilter& has_space, Rng& rng) {
+                  ServerSpaceFilter has_space, Rng& rng) {
   if (pool.empty()) {
     return kInvalidServer;
   }
@@ -41,7 +41,7 @@ ServerId PickFrom(const std::vector<ServerId>& pool, const std::vector<ServerId>
 }  // namespace
 
 ServerId PlacementPolicy::PlaceAdditional(const std::vector<ServerId>& existing,
-                                          const ServerSpaceFilter& has_space, Rng& rng) const {
+                                          ServerSpaceFilter has_space, Rng& rng) const {
   if (existing.empty()) {
     return kInvalidServer;
   }
@@ -73,7 +73,7 @@ StockPlacement::StockPlacement(const Cluster* cluster) : cluster_(cluster) {
 }
 
 std::vector<ServerId> StockPlacement::Place(ServerId writer, int replication,
-                                            const ServerSpaceFilter& has_space, Rng& rng) const {
+                                            ServerSpaceFilter has_space, Rng& rng) const {
   std::vector<ServerId> replicas;
   const RackId writer_rack = cluster_->server(writer).rack;
 
@@ -123,8 +123,7 @@ RandomPlacement::RandomPlacement(const Cluster* cluster) : cluster_(cluster) {
 }
 
 std::vector<ServerId> RandomPlacement::Place(ServerId writer, int replication,
-                                             const ServerSpaceFilter& has_space,
-                                             Rng& rng) const {
+                                             ServerSpaceFilter has_space, Rng& rng) const {
   std::vector<ServerId> replicas;
   replicas.reserve(static_cast<size_t>(replication));
   if (has_space(writer)) {
@@ -146,13 +145,12 @@ HistoryPlacement::HistoryPlacement(const Cluster* cluster, ReplicaPlacer::Option
 }
 
 std::vector<ServerId> HistoryPlacement::Place(ServerId writer, int replication,
-                                              const ServerSpaceFilter& has_space,
-                                              Rng& rng) const {
+                                              ServerSpaceFilter has_space, Rng& rng) const {
   return placer_->Place(writer, replication, has_space, rng);
 }
 
 ServerId HistoryPlacement::PlaceAdditional(const std::vector<ServerId>& existing,
-                                           const ServerSpaceFilter& has_space, Rng& rng) const {
+                                           ServerSpaceFilter has_space, Rng& rng) const {
   return placer_->PlaceAdditional(existing, has_space, rng);
 }
 

@@ -11,7 +11,6 @@
 #ifndef HARVEST_SRC_STORAGE_PLACEMENT_H_
 #define HARVEST_SRC_STORAGE_PLACEMENT_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -22,21 +21,22 @@
 namespace harvest {
 
 // Filters candidate destinations: true when the server can take one more
-// replica of this block (has space, not already holding one).
-using ServerSpaceFilter = std::function<bool(ServerId)>;
+// replica of this block (has space, not already holding one). Non-owning:
+// the filter must outlive the call it is passed to.
+using ServerSpaceFilter = ReplicaPlacer::ServerFilter;
 
 class PlacementPolicy {
  public:
   virtual ~PlacementPolicy() = default;
   // Chooses up to `replication` servers for a new block written by `writer`.
   virtual std::vector<ServerId> Place(ServerId writer, int replication,
-                                      const ServerSpaceFilter& has_space, Rng& rng) const = 0;
+                                      ServerSpaceFilter has_space, Rng& rng) const = 0;
   // Chooses one destination for re-replicating a block whose live replicas
   // sit on `existing` (the first entry is the copy source). The default
   // mirrors stock HDFS: run the creation policy with the source as writer
   // and take the first server not already holding a replica.
   virtual ServerId PlaceAdditional(const std::vector<ServerId>& existing,
-                                   const ServerSpaceFilter& has_space, Rng& rng) const;
+                                   ServerSpaceFilter has_space, Rng& rng) const;
   virtual const char* name() const = 0;
 };
 
@@ -44,7 +44,7 @@ class StockPlacement : public PlacementPolicy {
  public:
   explicit StockPlacement(const Cluster* cluster);
   std::vector<ServerId> Place(ServerId writer, int replication,
-                              const ServerSpaceFilter& has_space, Rng& rng) const override;
+                              ServerSpaceFilter has_space, Rng& rng) const override;
   const char* name() const override { return "HDFS-Stock"; }
 
  private:
@@ -60,7 +60,7 @@ class RandomPlacement : public PlacementPolicy {
  public:
   explicit RandomPlacement(const Cluster* cluster);
   std::vector<ServerId> Place(ServerId writer, int replication,
-                              const ServerSpaceFilter& has_space, Rng& rng) const override;
+                              ServerSpaceFilter has_space, Rng& rng) const override;
   const char* name() const override { return "HDFS-Random"; }
 
  private:
@@ -73,11 +73,11 @@ class HistoryPlacement : public PlacementPolicy {
   // Builds the placement grid from the cluster's tenant statistics.
   explicit HistoryPlacement(const Cluster* cluster, ReplicaPlacer::Options options = {});
   std::vector<ServerId> Place(ServerId writer, int replication,
-                              const ServerSpaceFilter& has_space, Rng& rng) const override;
+                              ServerSpaceFilter has_space, Rng& rng) const override;
   // Re-replication preserves Algorithm 2's diversity against the block's
   // surviving replicas (environment + row/column constraints).
   ServerId PlaceAdditional(const std::vector<ServerId>& existing,
-                           const ServerSpaceFilter& has_space, Rng& rng) const override;
+                           ServerSpaceFilter has_space, Rng& rng) const override;
   const char* name() const override { return "HDFS-H"; }
 
   const PlacementGrid& grid() const { return grid_; }

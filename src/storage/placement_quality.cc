@@ -6,7 +6,7 @@
 namespace harvest {
 
 BlockPlacementQuality PlacementQualityMonitor::ScoreBlock(
-    const std::vector<ServerId>& replicas) const {
+    std::span<const ServerId> replicas) const {
   BlockPlacementQuality quality;
   quality.replicas = static_cast<int>(replicas.size());
   if (replicas.empty()) {

@@ -11,6 +11,8 @@
 #ifndef HARVEST_SRC_STORAGE_PLACEMENT_QUALITY_H_
 #define HARVEST_SRC_STORAGE_PLACEMENT_QUALITY_H_
 
+#include <span>
+
 #include "src/core/placement_grid.h"
 #include "src/storage/name_node.h"
 
@@ -59,7 +61,7 @@ class PlacementQualityMonitor {
       : cluster_(cluster), grid_(grid), options_(options) {}
 
   // Scores one block's replica set.
-  BlockPlacementQuality ScoreBlock(const std::vector<ServerId>& replicas) const;
+  BlockPlacementQuality ScoreBlock(std::span<const ServerId> replicas) const;
 
   // Scores every live block in the namespace.
   PlacementQualityReport Audit(const NameNode& name_node) const;

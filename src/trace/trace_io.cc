@@ -1,5 +1,7 @@
 #include "src/trace/trace_io.h"
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -18,8 +20,6 @@ constexpr char kMagic[8] = {'H', 'R', 'V', 'T', 'R', 'A', 'C', 'E'};
 // multi-terabyte allocation. Far above any real fleet this driver builds.
 constexpr uint64_t kMaxCount = uint64_t{1} << 32;
 constexpr uint32_t kMaxNameBytes = 4096;
-// Magic, version, then four u64 counts.
-constexpr size_t kHeaderBytes = sizeof(kMagic) + 4 + 4 * 8;
 
 // --- Little-endian primitives ---------------------------------------------
 // Byte-by-byte on purpose: the format is defined little-endian regardless of
@@ -51,32 +51,36 @@ void PutSeries(std::string& out, std::span<const double> samples) {
   }
 }
 
-// Sequential reader over the whole file image with explicit bounds checks.
+// Sequential reader over a `size`-byte trace file with explicit bounds
+// checks. It streams through one fixed buffer instead of loading the file
+// image first: a whole-file buffer (10 MB for a DC-scale fleet) would sit
+// next to the cluster parsed from it, and needs one contiguous hole in a
+// heap that earlier datacenters have fragmented.
 class Reader {
  public:
-  Reader(const char* data, size_t size) : data_(data), size_(size) {}
+  Reader(std::FILE* file, uint64_t size) : file_(file), size_(size) {}
 
   bool U32(uint32_t* out) {
-    if (!Need(4)) {
+    unsigned char bytes[4];
+    if (!Bytes(bytes, sizeof(bytes))) {
       return false;
     }
     *out = 0;
     for (int i = 0; i < 4; ++i) {
-      *out |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
+      *out |= static_cast<uint32_t>(bytes[i]) << (8 * i);
     }
-    pos_ += 4;
     return true;
   }
 
   bool U64(uint64_t* out) {
-    if (!Need(8)) {
+    unsigned char bytes[8];
+    if (!Bytes(bytes, sizeof(bytes))) {
       return false;
     }
     *out = 0;
     for (int i = 0; i < 8; ++i) {
-      *out |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
+      *out |= static_cast<uint64_t>(bytes[i]) << (8 * i);
     }
-    pos_ += 8;
     return true;
   }
 
@@ -93,8 +97,18 @@ class Reader {
     if (!Need(n)) {
       return false;
     }
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
+    char* to = static_cast<char*>(out);
+    while (n > 0) {
+      if (head_ == fill_ && !Refill()) {
+        return false;
+      }
+      const size_t take = std::min(n, fill_ - head_);
+      std::memcpy(to, buffer_.data() + head_, take);
+      head_ += take;
+      pos_ += take;
+      to += take;
+      n -= take;
+    }
     return true;
   }
 
@@ -112,15 +126,25 @@ class Reader {
     return true;
   }
 
-  bool AtEnd() const { return pos_ == size_; }
-  size_t position() const { return pos_; }
+  // True when every byte of the file has been consumed and the file has
+  // no more (it may have grown since its size was taken).
+  bool AtEnd() { return pos_ == size_ && head_ == fill_ && !Refill(); }
+  uint64_t position() const { return pos_; }
 
  private:
   bool Need(uint64_t n) const { return n <= size_ - pos_; }
+  bool Refill() {
+    head_ = 0;
+    fill_ = std::fread(buffer_.data(), 1, buffer_.size(), file_);
+    return fill_ > 0;
+  }
 
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
+  std::FILE* file_;
+  uint64_t size_;
+  uint64_t pos_ = 0;
+  std::array<char, 1 << 16> buffer_;
+  size_t head_ = 0;  // next unread byte of buffer_
+  size_t fill_ = 0;  // bytes of buffer_ holding file data
 };
 
 bool Fail(std::string* error, std::string message) {
@@ -255,45 +279,22 @@ bool ReadTraceFileHeader(const std::string& path, TraceFileInfo* info, std::stri
   if (file == nullptr) {
     return Fail(error, "cannot open trace file '" + path + "'");
   }
-  char buffer[kHeaderBytes];
-  const size_t n = std::fread(buffer, 1, sizeof(buffer), file);
+  Reader reader(file, file_bytes);
+  const bool ok = ParseHeader(reader, file_bytes, path, info, error);
   std::fclose(file);
-  Reader reader(buffer, n);
-  return ParseHeader(reader, file_bytes, path, info, error);
+  return ok;
 }
 
-bool ReadClusterTraceFile(const std::string& path, Cluster* cluster, TraceFileInfo* info,
-                          std::string* error) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Fail(error, "cannot open trace file '" + path + "'");
-  }
-  // Reserve the whole file up front: growing the buffer by doubling holds the
-  // old and the new copy at once, up to three times the file size.
-  std::string data;
-  std::error_code size_error;
-  const uintmax_t file_bytes = std::filesystem::file_size(path, size_error);
-  if (!size_error) {
-    data.reserve(static_cast<size_t>(file_bytes));
-  }
-  char buffer[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    data.append(buffer, n);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
-    return Fail(error, "I/O error reading trace file '" + path + "'");
-  }
+namespace {
 
+bool ParseClusterTrace(Reader& reader, uint64_t file_bytes, const std::string& path,
+                       Cluster* cluster, TraceFileInfo* info, std::string* error) {
   auto malformed = [&](const char* what) {
     return Fail(error, std::string("trace file '") + path + "' is malformed (" + what + ")");
   };
 
-  Reader reader(data.data(), data.size());
   TraceFileInfo header;
-  if (!ParseHeader(reader, data.size(), path, &header, error)) {
+  if (!ParseHeader(reader, file_bytes, path, &header, error)) {
     return false;
   }
   const uint64_t trace_slots = header.trace_slots;
@@ -381,6 +382,33 @@ bool ReadClusterTraceFile(const std::string& path, Cluster* cluster, TraceFileIn
     return malformed("trailing bytes after payload");
   }
   *cluster = std::move(result);
+  *info = header;
+  return true;
+}
+
+}  // namespace
+
+bool ReadClusterTraceFile(const std::string& path, Cluster* cluster, TraceFileInfo* info,
+                          std::string* error) {
+  std::error_code size_error;
+  const uintmax_t file_bytes = std::filesystem::file_size(path, size_error);
+  std::FILE* file = size_error ? nullptr : std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    return Fail(error, "cannot open trace file '" + path + "'");
+  }
+  Reader reader(file, file_bytes);
+  Cluster parsed;
+  TraceFileInfo header;
+  const bool ok = ParseClusterTrace(reader, file_bytes, path, &parsed, &header, error);
+  const bool read_error = std::ferror(file) != 0;
+  std::fclose(file);
+  if (read_error) {
+    return Fail(error, "I/O error reading trace file '" + path + "'");
+  }
+  if (!ok) {
+    return false;
+  }
+  *cluster = std::move(parsed);
   if (info != nullptr) {
     *info = header;
   }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 #include <memory>
+#include <span>
 
 #include "src/cluster/datacenter.h"
 #include "src/storage/name_node.h"
@@ -69,7 +70,9 @@ TEST(FailureInjectionTest, WipeDuringRereplicationRequeuesFromSurvivor) {
   Rng rng(2);
   NameNode nn = MakeNode(cluster, rng);
   BlockId block = nn.CreateBlock(0, 0.0);
-  std::vector<ServerId> replicas = nn.ReplicaServers(block);
+  // A copy: the live view shrinks as the test wipes its servers.
+  const std::span<const ServerId> live = nn.ReplicaServers(block);
+  std::vector<ServerId> replicas(live.begin(), live.end());
   ASSERT_EQ(replicas.size(), 3u);
   // First wipe starts a re-replication; before it completes, wipe the chosen
   // source too (we cannot observe which source was picked, so wipe both
@@ -164,7 +167,9 @@ TEST(FailureInjectionTest, ZeroDetectionDelayHealsFastest) {
     options.detection_delay_seconds = delay;
     NameNode nn(&cluster, std::make_unique<HistoryPlacement>(&cluster), options, &rng);
     BlockId block = nn.CreateBlock(0, 0.0);
-    std::vector<ServerId> replicas = nn.ReplicaServers(block);
+    // A copy: the live view shrinks as the test wipes its servers.
+    const std::span<const ServerId> live = nn.ReplicaServers(block);
+    std::vector<ServerId> replicas(live.begin(), live.end());
     nn.OnReimage(replicas[0], 100.0);
     // With zero delay the copy completes after one throttle interval.
     nn.ProcessRereplication(100.0 + delay + 125.0);

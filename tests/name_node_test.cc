@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 #include <set>
+#include <span>
 
 namespace harvest {
 namespace {
@@ -99,7 +100,9 @@ TEST(NameNodeTest, ReimageDestroysReplicasAndHeals) {
   Rng rng(4);
   NameNode nn = MakeNameNode(cluster, rng);
   BlockId block = nn.CreateBlock(0, 0.0);
-  std::vector<ServerId> replicas = nn.ReplicaServers(block);
+  // A copy: the live view shrinks as the test wipes its servers.
+  const std::span<const ServerId> live = nn.ReplicaServers(block);
+  std::vector<ServerId> replicas(live.begin(), live.end());
   nn.OnReimage(replicas[0], 100.0);
   EXPECT_EQ(nn.LiveReplicas(block), 2);
   EXPECT_EQ(nn.stats().replicas_destroyed, 1);
@@ -137,7 +140,9 @@ TEST(NameNodeTest, BlockLostWhenAllReplicasDestroyedQuickly) {
   Rng rng(6);
   NameNode nn = MakeNameNode(cluster, rng);
   BlockId block = nn.CreateBlock(0, 0.0);
-  std::vector<ServerId> replicas = nn.ReplicaServers(block);
+  // A copy: the live view shrinks as the test wipes its servers.
+  const std::span<const ServerId> live = nn.ReplicaServers(block);
+  std::vector<ServerId> replicas(live.begin(), live.end());
   ASSERT_EQ(replicas.size(), 3u);
   // Wipe all three replica holders within the detection window.
   nn.OnReimage(replicas[0], 100.0);
@@ -156,7 +161,9 @@ TEST(NameNodeTest, SlowSecondWipeAllowsHealing) {
   Rng rng(7);
   NameNode nn = MakeNameNode(cluster, rng);
   BlockId block = nn.CreateBlock(0, 0.0);
-  std::vector<ServerId> replicas = nn.ReplicaServers(block);
+  // A copy: the live view shrinks as the test wipes its servers.
+  const std::span<const ServerId> live = nn.ReplicaServers(block);
+  std::vector<ServerId> replicas(live.begin(), live.end());
   nn.OnReimage(replicas[0], 100.0);
   // Healing has plenty of time before the next wipe.
   nn.ProcessRereplication(100.0 + 300.0 + 200.0);
@@ -199,7 +206,9 @@ TEST(NameNodeTest, FourWayReplicationSurvivesTripleWipe) {
   Rng rng(9);
   NameNode nn = MakeNameNode(cluster, rng, 4);
   BlockId block = nn.CreateBlock(0, 0.0);
-  std::vector<ServerId> replicas = nn.ReplicaServers(block);
+  // A copy: the live view shrinks as the test wipes its servers.
+  const std::span<const ServerId> live = nn.ReplicaServers(block);
+  std::vector<ServerId> replicas(live.begin(), live.end());
   ASSERT_EQ(replicas.size(), 4u);
   nn.OnReimage(replicas[0], 100.0);
   nn.OnReimage(replicas[1], 101.0);

@@ -18,7 +18,7 @@ Cluster RealisticCluster(uint64_t seed) {
   return BuildCluster(DatacenterByName("DC-9"), options, rng);
 }
 
-ServerSpaceFilter AlwaysHasSpace() {
+auto AlwaysHasSpace() {
   return [](ServerId) { return true; };
 }
 

@@ -38,7 +38,7 @@ Cluster NineCellCluster() {
   return cluster;
 }
 
-ReplicaPlacer::ServerFilter AlwaysHasSpace() {
+auto AlwaysHasSpace() {
   return [](ServerId) { return true; };
 }
 

@@ -69,4 +69,9 @@ done
 for scenario in rack_outage telemetry_blackout partition_heal_storm; do
   check "$scenario" 1:1:1 1:1:4 1:4:1 1:4:4 2:1:1 2:4:4 8:1:1 8:1:4 8:4:1 8:4:4
 done
+
+# storage_stress carries the heaviest heal queue and interleaves reads with
+# it, so every access peeks the shard queues (ProcessRereplication) between
+# pushes: the NN axis alone, up to the largest shard count.
+check storage_stress 1:1:1 1:1:4 1:1:8 8:1:8
 exit $status

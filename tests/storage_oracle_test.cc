@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,10 +64,11 @@ struct OracleOutcome {
   }
 };
 
-OracleOutcome RunAccountingOracle(PlacementKind kind, uint64_t seed, int shards) {
+OracleOutcome RunAccountingOracle(PlacementKind kind, uint64_t seed, int shards,
+                                  int replication = 3) {
   Cluster cluster = BuildOracleCluster(0.3, seed);
   NameNodeOptions options;
-  options.replication = 3;
+  options.replication = replication;
   options.shards = shards;
   Rng policy_rng(seed ^ 0x5eedULL);
   NameNode nn(&cluster, MakePlacementPolicy(kind, &cluster), options, &policy_rng);
@@ -121,7 +123,14 @@ OracleOutcome RunAccountingOracle(PlacementKind kind, uint64_t seed, int shards)
   EXPECT_GT(creates, kOperationsPerKind / 5);
   EXPECT_GT(reimages, kOperationsPerKind / 8);
   EXPECT_GT(nn.stats().replicas_destroyed, 0);
-  EXPECT_GT(nn.stats().rereplications_completed, 0);
+  int full_blocks = 0;
+  for (BlockId b = 0; b < nn.num_blocks(); ++b) {
+    full_blocks += nn.LiveReplicas(b) == replication ? 1 : 0;
+  }
+  EXPECT_GT(full_blocks, 0) << "no block fills its " << replication << "-slot stride";
+  if (replication > 1) {  // a lone replica's wipe loses its block: nothing heals
+    EXPECT_GT(nn.stats().rereplications_completed, 0);
+  }
   EXPECT_GE(kOperationsPerKind, 1000);
 
   OracleOutcome outcome;
@@ -129,7 +138,8 @@ OracleOutcome RunAccountingOracle(PlacementKind kind, uint64_t seed, int shards)
   outcome.under_replicated = nn.UnderReplicatedBlocks();
   outcome.replicas.reserve(static_cast<size_t>(nn.num_blocks()));
   for (BlockId b = 0; b < nn.num_blocks(); ++b) {
-    outcome.replicas.push_back(nn.ReplicaServers(b));
+    const std::span<const ServerId> replicas = nn.ReplicaServers(b);
+    outcome.replicas.emplace_back(replicas.begin(), replicas.end());
   }
   return outcome;
 }
@@ -138,12 +148,13 @@ OracleOutcome RunAccountingOracle(PlacementKind kind, uint64_t seed, int shards)
 // sharded runs to match the dense single-shard reference exactly --
 // placements, aggregates, and (via the replica lists) the consumed RNG
 // stream. Shard count is execution layout; it must never change a result.
-void RunShardedAccountingOracle(PlacementKind kind, uint64_t seed) {
-  const OracleOutcome reference = RunAccountingOracle(kind, seed, /*shards=*/1);
+void RunShardedAccountingOracle(PlacementKind kind, uint64_t seed, int replication = 3) {
+  const OracleOutcome reference = RunAccountingOracle(kind, seed, /*shards=*/1, replication);
   for (int shards : {3, 8}) {
-    const OracleOutcome sharded = RunAccountingOracle(kind, seed, shards);
-    EXPECT_TRUE(sharded == reference)
-        << PlacementKindName(kind) << " diverged at " << shards << " shards";
+    const OracleOutcome sharded = RunAccountingOracle(kind, seed, shards, replication);
+    EXPECT_TRUE(sharded == reference) << PlacementKindName(kind) << " at replication "
+                                      << replication << " diverged at " << shards
+                                      << " shards";
   }
 }
 
@@ -165,6 +176,27 @@ TEST(StorageOracleTest, IncrementalAccountingMatchesDenseRescanGreedy) {
 
 TEST(StorageOracleTest, IncrementalAccountingMatchesDenseRescanSoft) {
   RunShardedAccountingOracle(PlacementKind::kSoft, 505);
+}
+
+// Stride edges: a block's replicas live in a fixed slot of `replication`
+// entries, so audit the smallest and largest strides the `replications`
+// knob allows ([1, 16]) and the paper's other setting, 4, for every kind.
+void RunStrideEdgeOracle(int replication) {
+  for (PlacementKind kind : AllPlacementKinds()) {
+    RunShardedAccountingOracle(kind, 800 + static_cast<uint64_t>(replication), replication);
+  }
+}
+
+TEST(StorageOracleTest, IncrementalAccountingMatchesDenseRescanAtReplication1) {
+  RunStrideEdgeOracle(1);
+}
+
+TEST(StorageOracleTest, IncrementalAccountingMatchesDenseRescanAtReplication4) {
+  RunStrideEdgeOracle(4);
+}
+
+TEST(StorageOracleTest, IncrementalAccountingMatchesDenseRescanAtReplication16) {
+  RunStrideEdgeOracle(16);
 }
 
 // Correlated-failure oracle (ISSUE 8): the same audit discipline under
@@ -247,7 +279,8 @@ OracleOutcome RunRackKillOracle(PlacementKind kind, uint64_t seed, int shards) {
   outcome.under_replicated = nn.UnderReplicatedBlocks();
   outcome.replicas.reserve(static_cast<size_t>(nn.num_blocks()));
   for (BlockId b = 0; b < nn.num_blocks(); ++b) {
-    outcome.replicas.push_back(nn.ReplicaServers(b));
+    const std::span<const ServerId> replicas = nn.ReplicaServers(b);
+    outcome.replicas.emplace_back(replicas.begin(), replicas.end());
   }
   return outcome;
 }
