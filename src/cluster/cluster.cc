@@ -36,17 +36,6 @@ void Cluster::SetReimageTimes(ServerId id, const double* times, size_t count) {
   reimage_pool_.insert(reimage_pool_.end(), times, times + count);
 }
 
-double Cluster::AverageUtilizationAt(double seconds) const {
-  if (servers_.empty()) {
-    return 0.0;
-  }
-  double sum = 0.0;
-  for (const auto& server : servers_) {
-    sum += server.PrimaryUtilizationAt(seconds);
-  }
-  return sum / static_cast<double>(servers_.size());
-}
-
 double Cluster::AverageUtilization() const {
   if (servers_.empty()) {
     return 0.0;

@@ -103,8 +103,6 @@ class Cluster {
     return static_cast<int64_t>(reimage_pool_.size());
   }
 
-  // Fleet-wide average primary CPU utilization at `seconds`, in [0, 1].
-  double AverageUtilizationAt(double seconds) const;
   // Fleet-wide average over the whole trace horizon.
   double AverageUtilization() const;
   // Total blocks of harvestable storage across the fleet.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <map>
 #include <set>
@@ -423,8 +424,7 @@ class SchedulingSimulation {
   void SelectClasses(ActiveJob& job, int required_cores) {
     const double now = queue_.now();
     RefreshClassForecasts(now);
-    std::vector<ClassState> states;
-    states.reserve(snapshot_.classes.size());
+    class_states_.clear();
     for (size_t c = 0; c < snapshot_.classes.size(); ++c) {
       const UtilizationClass& cls = snapshot_.classes[c];
       ClassState state;
@@ -433,9 +433,9 @@ class SchedulingSimulation {
       state.available_cores = rm_.ClassAvailableCores(cls.id, now);
       state.forecast_utilization = class_forecast_util_[c];
       state.long_forecast_utilization = class_long_forecast_util_[c];
-      states.push_back(state);
+      class_states_.push_back(state);
     }
-    ClassSelection selection = selector_->Select(job.type, required_cores, states, rng_);
+    ClassSelection selection = selector_->Select(job.type, required_cores, class_states_, rng_);
     for (size_t i = 0; i < selection.class_ids.size(); ++i) {
       ClassSchedulingDiagnostics* diag = DiagnosticsForClass(selection.class_ids[i]);
       if (diag == nullptr) {
@@ -473,17 +473,19 @@ class SchedulingSimulation {
     const double now = queue_.now();
     bool allocation_short = false;  // some runnable demand went unplaced
     job.am->RunnableTasks(&runnable_);
+    // One request per call: the class set is copied once, and each demand
+    // fills in its own shape, count and window.
+    ContainerRequest request;
+    request.job = id;
+    request.allowed_classes = job.allowed_classes;
+    request.history_aware = options_.mode == SchedulerMode::kHistory;
     for (const TaskDemand& demand : runnable_) {
       const Stage& stage = job.am->dag().stage(demand.stage);
-      ContainerRequest request;
-      request.job = id;
       request.resources = stage.per_task;
       request.count = demand.count;
-      request.allowed_classes = job.allowed_classes;
       // Tez-H knows how long this stage's tasks ran historically; a small
       // margin covers run-to-run variation.
       request.task_seconds = stage.task_seconds * 1.2;
-      request.history_aware = options_.mode == SchedulerMode::kHistory;
       std::vector<Container> placed = rm_.Allocate(request, now, rng_);
       if (static_cast<int>(placed.size()) < demand.count) {
         allocation_short = true;
@@ -517,8 +519,10 @@ class SchedulingSimulation {
       queue_.Schedule(now + stage.task_seconds, kCompletions, placed.front().id,
                       static_cast<int32_t>(placed.size()));
       for (const Container& container : placed) {
-        RunningTask task{id, demand.stage, container};
-        running_.emplace(container.id, task);
+        HARVEST_CHECK(container.id ==
+                      running_base_ + static_cast<ContainerId>(running_.size()))
+            << "container " << container.id << " issued out of sequence";
+        running_.push_back(RunningTask{id, demand.stage, container});
         if (accountant_) {
           accountant_->OnContainerStart(container.resources.cores);
         }
@@ -581,13 +585,35 @@ class SchedulingSimulation {
     }
   }
 
+  // The running task holding container `cid`, or nullptr once it completed
+  // or was killed.
+  RunningTask* FindRunning(ContainerId cid) {
+    if (cid < running_base_) {
+      return nullptr;
+    }
+    const size_t i = static_cast<size_t>(cid - running_base_);
+    if (i >= running_.size() || running_[i].container.id == 0) {
+      return nullptr;
+    }
+    return &running_[i];
+  }
+
+  // Marks `task` ended and trims ended entries off the front of the window.
+  void EraseRunning(RunningTask& task) {
+    task.container.id = 0;
+    while (!running_.empty() && running_.front().container.id == 0) {
+      running_.pop_front();
+      ++running_base_;
+    }
+  }
+
   void OnTaskCompletion(ContainerId cid) {
-    auto it = running_.find(cid);
-    if (it == running_.end()) {
+    RunningTask* running = FindRunning(cid);
+    if (running == nullptr) {
       return;  // the container was killed before completing
     }
-    RunningTask task = it->second;
-    running_.erase(it);
+    const RunningTask task = *running;
+    EraseRunning(*running);
     rm_.Release(task.container);
     if (accountant_) {
       accountant_->OnContainerEnd(task.container.resources.cores,
@@ -598,8 +624,12 @@ class SchedulingSimulation {
     bool finished = job.am->OnTaskComplete(task.stage, queue_.now());
     if (finished) {
       FinishJob(task.job);
-    } else {
-      TryScheduleJob(task.job);  // newly unlocked stages
+    } else if (job.am->StageComplete(task.stage) || pending_.contains(task.job)) {
+      // Newly unlocked stages, or demand still queued. Otherwise the job
+      // has no pending tasks in unlocked stages (pending_ is exact) and this
+      // completion unlocked none, so TryScheduleJob would find nothing to
+      // place and change nothing.
+      TryScheduleJob(task.job);
     }
     // Freed resources may unblock other queued jobs.
     RetryPendingJobs();
@@ -648,12 +678,12 @@ class SchedulingSimulation {
   // stops running, its accounting ends, and its task returns to the AM's
   // pending pool. False when the container is no longer running.
   bool ReturnKilledTask(const Container& container, double now) {
-    auto it = running_.find(container.id);
-    if (it == running_.end()) {
+    RunningTask* running = FindRunning(container.id);
+    if (running == nullptr) {
       return false;
     }
-    const RunningTask task = it->second;
-    running_.erase(it);
+    const RunningTask task = *running;
+    EraseRunning(*running);
     if (accountant_) {
       accountant_->OnContainerEnd(container.resources.cores, container.start_time, now);
     }
@@ -737,7 +767,7 @@ class SchedulingSimulation {
     RetryPendingJobs();
     // 3. Utilization sample.
     utilization_sum_ += rm_.AverageTotalUtilization(now);
-    primary_sum_ += cluster_.AverageUtilizationAt(now);
+    primary_sum_ += rm_.AveragePrimaryUtilization(now);
     ++utilization_samples_;
     // 4. Right-sizing transitions for the interval that starts now.
     if (options_.rightsizing && options_.mode == SchedulerMode::kHistory) {
@@ -800,16 +830,10 @@ class SchedulingSimulation {
     if (accountant_) {
       // Close out still-running containers at the horizon, in container-id
       // order (every placed container ends exactly once).
-      std::vector<ContainerId> live;
-      live.reserve(running_.size());
-      // detlint: ordered-ok(keys only, sorted before any result-affecting use)
-      for (const auto& [cid, task] : running_) {
-        (void)task;
-        live.push_back(cid);
-      }
-      std::sort(live.begin(), live.end());
-      for (ContainerId cid : live) {
-        const RunningTask& task = running_.at(cid);
+      for (const RunningTask& task : running_) {
+        if (task.container.id == 0) {
+          continue;  // ended inside the live window
+        }
         accountant_->OnContainerEnd(task.container.resources.cores,
                                     task.container.start_time, options_.horizon_seconds);
       }
@@ -855,9 +879,16 @@ class SchedulingSimulation {
   // events; membership is maintained exactly at every transition, so a
   // retry sweep touches only jobs that can actually make progress.
   std::set<JobId> pending_;
-  std::unordered_map<ContainerId, RunningTask> running_;
+  // Running containers by id: running_[cid - running_base_]. Allocate
+  // issues ids consecutively, so placements append at the back; an entry
+  // that ends gets container id 0 and is trimmed once it reaches the front,
+  // so the window spans the oldest running container to the newest.
+  std::deque<RunningTask> running_;
+  ContainerId running_base_ = 1;
   // Caller-owned AppMaster::RunnableTasks buffer, reused by every call.
   std::vector<TaskDemand> runnable_;
+  // SelectClasses' per-class state buffer, reused by every call.
+  std::vector<ClassState> class_states_;
   // Power subsystem: the energy / cost ledger (power_accounting runs only)
   // and the deferral valley curve, cached per telemetry slot.
   std::unique_ptr<EnergyAccountant> accountant_;

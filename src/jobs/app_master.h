@@ -43,6 +43,10 @@ class AppMaster {
   // be re-requested (and re-run from scratch).
   void OnTaskKilled(int stage);
 
+  // Every task of `stage` has completed.
+  bool StageComplete(int stage) const {
+    return completed_[static_cast<size_t>(stage)] == dag_->stage(stage).num_tasks;
+  }
   bool done() const { return completed_stages_ == dag_->num_stages(); }
   double finish_time() const { return finish_time_; }
   // Job execution time (arrival to completion, includes queueing).

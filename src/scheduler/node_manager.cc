@@ -7,15 +7,19 @@
 namespace harvest {
 
 NodeManager::NodeManager(const Server* server, Resources reserve, SchedulerMode mode)
-    : server_(server), reserve_(reserve), mode_(mode) {
-  if (server_->utilization) {
-    double avg = server_->utilization->Average() * server_->capacity.cores;
-    double peak = server_->utilization->Peak() * server_->capacity.cores;
-    historical_average_cores_ =
-        std::min(server_->capacity.cores, static_cast<int>(std::ceil(avg - 1e-9)));
-    historical_peak_cores_ =
-        std::min(server_->capacity.cores, static_cast<int>(std::ceil(peak - 1e-9)));
-  }
+    : server_(server), reserve_(reserve), mode_(mode) {}
+
+int NodeManager::HistoricalCores(double utilization) const {
+  const double cores = utilization * server_->capacity.cores;
+  return std::min(server_->capacity.cores, static_cast<int>(std::ceil(cores - 1e-9)));
+}
+
+int NodeManager::historical_average_cores() const {
+  return server_->utilization ? HistoricalCores(server_->utilization->Average()) : 0;
+}
+
+int NodeManager::historical_peak_cores() const {
+  return server_->utilization ? HistoricalCores(server_->utilization->Peak()) : 0;
 }
 
 int NodeManager::ForecastPrimaryCores(double t, double window_seconds) const {

@@ -87,9 +87,11 @@ class NodeManager {
   }
 
   // Historical statistics of the primary tenant on this server (whole-trace
-  // aggregates, in cores, rounded up like the live reporting).
-  int historical_average_cores() const { return historical_average_cores_; }
-  int historical_peak_cores() const { return historical_peak_cores_; }
+  // aggregates, in cores, rounded up like the live reporting). Computed on
+  // demand: each is a full pass over the trace, and the co-simulation never
+  // asks.
+  int historical_average_cores() const;
+  int historical_peak_cores() const;
 
   void AddContainer(const Container& container);
   // Removes by container id; false when unknown.
@@ -124,11 +126,13 @@ class NodeManager {
   bool idle() const { return containers_.empty(); }
 
  private:
+  // Whole-trace utilization fraction -> cores, rounded up, capped at
+  // capacity.
+  int HistoricalCores(double utilization) const;
+
   const Server* server_;
   Resources reserve_;
   SchedulerMode mode_;
-  int historical_average_cores_ = 0;
-  int historical_peak_cores_ = 0;
   Resources allocated_{0, 0};
   // Kept ordered by start time (append order); EnforceReserve kills from the
   // back (youngest first).

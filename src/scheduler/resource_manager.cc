@@ -23,7 +23,7 @@ namespace {
 // jitter) that noise-chasing packed containers onto a few servers and made
 // YARN-H suffer *more* reserve kills than PT (the fleet_sweep 45%-target
 // regression). Integer on purpose: keeping every weight integer-valued is
-// what makes the Fenwick sampler's arithmetic exact
+// what makes the block sampler's arithmetic exact
 // (src/util/weighted_picker.h).
 constexpr int64_t kTypeRoomBonus = 50;
 
@@ -86,10 +86,11 @@ void ResourceManager::SetServerClasses(std::vector<int> server_class) {
   node_weight_.assign(nodes_.size(), 0);
   // Shard layouts: the global sampler follows the FleetTable partition; each
   // class sampler inherits it positionally (class lists are in ascending
-  // ServerId order, so shard k of class c is a contiguous position range --
-  // possibly empty -- and shard k's rebuild task owns it exclusively).
+  // ServerId order, so shard k of class c is a contiguous position range,
+  // possibly empty).
   all_servers_picker_.SetLayout(shard_starts_, nodes_.size());
   class_pickers_.assign(static_cast<size_t>(num_classes_), ShardedPicker());
+  picker_built_.assign(static_cast<size_t>(num_classes_) + 1, 0);
   for (int c = 0; c < num_classes_; ++c) {
     const auto& servers = class_servers_[static_cast<size_t>(c)];
     std::vector<size_t> starts;
@@ -221,17 +222,12 @@ int64_t ResourceManager::NodeWeight(ServerId s) const {
 void ResourceManager::RebuildAvailabilityAndWeights() const {
   const int shards = num_shards();
   // Arena scratch for this rebuild: per-(shard, class) available-core
-  // partials and per-class dense weight columns (position-indexed, each
-  // shard writing only its own position range). All allocation happens
-  // before the fan-out; the arena is not thread-safe.
+  // partials. All allocation happens before the fan-out; the arena is not
+  // thread-safe.
   arena_.Reset();
   int64_t* partials =
       arena_.AllocateArray<int64_t>(static_cast<size_t>(shards) *
                                     static_cast<size_t>(num_classes_));
-  int64_t** class_cols = arena_.AllocateArray<int64_t*>(static_cast<size_t>(num_classes_));
-  for (int c = 0; c < num_classes_; ++c) {
-    class_cols[c] = arena_.AllocateArray<int64_t>(class_servers_[static_cast<size_t>(c)].size());
-  }
   ParallelForIndex(slot_threads_, shards, [&](int shard) {
     const size_t begin = all_servers_picker_.shard_begin(shard);
     const size_t end = all_servers_picker_.shard_end(shard);
@@ -261,16 +257,6 @@ void ResourceManager::RebuildAvailabilityAndWeights() const {
       }
       node_weight_[s] = profile_.valid ? NodeWeight(static_cast<ServerId>(s)) : 0;
     }
-    all_servers_picker_.BuildShard(shard, node_weight_.data());
-    for (int c = 0; c < num_classes_; ++c) {
-      ShardedPicker& picker = class_pickers_[static_cast<size_t>(c)];
-      const auto& servers = class_servers_[static_cast<size_t>(c)];
-      const size_t pos_end = picker.shard_end(shard);
-      for (size_t pos = picker.shard_begin(shard); pos < pos_end; ++pos) {
-        class_cols[c][pos] = node_weight_[static_cast<size_t>(servers[pos])];
-      }
-      picker.BuildShard(shard, class_cols[c]);
-    }
   });
   // Deterministic merge: shard order, exact integer sums.
   for (int c = 0; c < num_classes_; ++c) {
@@ -280,9 +266,41 @@ void ResourceManager::RebuildAvailabilityAndWeights() const {
                         static_cast<size_t>(c)];
     }
     class_avail_cores_[static_cast<size_t>(c)] = cores;
-    class_pickers_[static_cast<size_t>(c)].FinishBuild();
   }
-  all_servers_picker_.FinishBuild();
+  // Every sampler is stale until a draw reads it (EnsurePicker): PT draws
+  // only from the all-servers sampler and H only from class samplers, so
+  // building all of them here would mostly feed ResyncNode updates nobody
+  // reads.
+  std::fill(picker_built_.begin(), picker_built_.end(), 0);
+}
+
+void ResourceManager::FillPicker(int class_id, ShardedPicker& picker,
+                                 std::vector<int64_t>& column) const {
+  const int64_t* weights = node_weight_.data();
+  if (class_id >= 0) {
+    // Class samplers index by class-list position: gather the column.
+    const auto& servers = class_servers_[static_cast<size_t>(class_id)];
+    column.resize(servers.size());
+    for (size_t pos = 0; pos < servers.size(); ++pos) {
+      column[pos] = node_weight_[static_cast<size_t>(servers[pos])];
+    }
+    weights = column.data();
+  }
+  for (int shard = 0; shard < picker.num_shards(); ++shard) {
+    picker.BuildShard(shard, weights);
+  }
+  picker.FinishBuild();
+}
+
+const ShardedPicker& ResourceManager::EnsurePicker(int class_id) const {
+  ShardedPicker& picker =
+      class_id < 0 ? all_servers_picker_ : class_pickers_[static_cast<size_t>(class_id)];
+  uint8_t& built = picker_built_[static_cast<size_t>(class_id + 1)];
+  if (built == 0) {
+    FillPicker(class_id, picker, picker_column_);
+    built = 1;
+  }
+  return picker;
 }
 
 void ResourceManager::EnsureProfile(const ContainerRequest& request) {
@@ -319,9 +337,13 @@ void ResourceManager::ResyncNode(ServerId s) {
   }
   node_avail_[i] = avail;
   if (profile_.valid) {
+    // Only built samplers are kept current; a stale one is rebuilt from
+    // node_weight_ at its first draw.
     int64_t weight = NodeWeight(s);
-    all_servers_picker_.Update(i, node_weight_[i], weight);
-    if (c >= 0 && c < num_classes_) {
+    if (picker_built_[0] != 0) {
+      all_servers_picker_.Update(i, node_weight_[i], weight);
+    }
+    if (c >= 0 && c < num_classes_ && picker_built_[static_cast<size_t>(c) + 1] != 0) {
       class_pickers_[static_cast<size_t>(c)].Update(class_pos_[i], node_weight_[i], weight);
     }
     node_weight_[i] = weight;
@@ -334,23 +356,25 @@ std::vector<Container> ResourceManager::Allocate(const ContainerRequest& request
   if (request.count <= 0) {
     return placed;
   }
+  placed.reserve(static_cast<size_t>(request.count));
   EnsureSlot(t);
   EnsureProfile(request);
 
   // Candidate segments: the label disjunction in request order, or every
   // server when no label was named (RM default policy). Each segment is a
-  // persistent Fenwick sampler; segment order reproduces the order the dense
-  // scan used to concatenate candidate lists in.
-  std::vector<const ShardedPicker*> segments;
-  std::vector<int> segment_class;  // -1 = all-servers segment
+  // persistent block sampler, built here if this slot has not read it yet;
+  // segment order reproduces the order the dense scan used to concatenate
+  // candidate lists in.
+  segments_.clear();
+  segment_class_.clear();  // -1 = all-servers segment
   if (request.allowed_classes.empty()) {
-    segments.push_back(&all_servers_picker_);
-    segment_class.push_back(-1);
+    segments_.push_back(&EnsurePicker(-1));
+    segment_class_.push_back(-1);
   } else {
     for (int c : request.allowed_classes) {
       if (c >= 0 && c < num_classes_) {
-        segments.push_back(&class_pickers_[static_cast<size_t>(c)]);
-        segment_class.push_back(c);
+        segments_.push_back(&EnsurePicker(c));
+        segment_class_.push_back(c);
       }
     }
   }
@@ -361,7 +385,7 @@ std::vector<Container> ResourceManager::Allocate(const ContainerRequest& request
   // see src/util/weighted_picker.h).
   for (int n = 0; n < request.count; ++n) {
     int64_t grand_total = 0;
-    for (const ShardedPicker* segment : segments) {
+    for (const ShardedPicker* segment : segments_) {
       grand_total += segment->Total();
     }
     if (grand_total <= 0) {
@@ -369,17 +393,17 @@ std::vector<Container> ResourceManager::Allocate(const ContainerRequest& request
     }
     double point = rng.NextDouble() * static_cast<double>(grand_total);
     ServerId server = kInvalidServer;
-    for (size_t g = 0; g < segments.size(); ++g) {
-      const ShardedPicker& segment = *segments[g];
+    for (size_t g = 0; g < segments_.size(); ++g) {
+      const ShardedPicker& segment = *segments_[g];
       double segment_total = static_cast<double>(segment.Total());
       // point == 0 (NextDouble() drew 0.0) selects the first positive
       // weight overall, exactly like the dense subtraction scan.
       bool in_segment = point <= 0.0 ? segment.Total() > 0 : point <= segment_total;
       if (in_segment) {
         size_t index = segment.LowerBound(point > 0.0 ? point : 0.5);
-        server = segment_class[g] < 0
+        server = segment_class_[g] < 0
                      ? static_cast<ServerId>(index)
-                     : class_servers_[static_cast<size_t>(segment_class[g])][index];
+                     : class_servers_[static_cast<size_t>(segment_class_[g])][index];
         break;
       }
       point -= segment_total;
@@ -580,10 +604,22 @@ double ResourceManager::ClassCurrentUtilization(int class_id, double t) const {
   if (class_util_slot_[c] != cached_slot_) {
     // Once per class per telemetry slot: the primary traces are piecewise-
     // constant at kSlotSeconds granularity, so every query in a slot sees
-    // the same mean (same terms, same summation order).
+    // the same mean (same terms, same summation order). Each telemetry
+    // group's trace is read once per slot; the per-server term is that
+    // read, added in class-list (ServerId) order as before.
+    if (group_util_slot_ != cached_slot_) {
+      group_primary_util_.resize(static_cast<size_t>(table_.num_groups()));
+      for (int g = 0; g < table_.num_groups(); ++g) {
+        const int32_t trace = table_.trace_index()[table_.group_begin(g)];
+        group_primary_util_[static_cast<size_t>(g)] =
+            trace < 0 ? 0.0 : table_.trace(trace)->AtTime(t);
+      }
+      group_util_slot_ = cached_slot_;
+    }
+    const std::vector<int32_t>& group_of = table_.group();
     double sum = 0.0;
     for (ServerId s : servers) {
-      sum += cluster_->server(s).PrimaryUtilizationAt(t);
+      sum += group_primary_util_[static_cast<size_t>(group_of[static_cast<size_t>(s)])];
     }
     class_util_value_[c] = sum / static_cast<double>(servers.size());
     class_util_slot_[c] = cached_slot_;
@@ -599,7 +635,8 @@ int ResourceManager::ClassAvailableCores(int class_id, double t) const {
   return static_cast<int>(class_avail_cores_[static_cast<size_t>(class_id)]);
 }
 
-double ResourceManager::AverageTotalUtilization(double t) const {
+template <typename Term>
+double ResourceManager::FleetAverage(double t, Term term) const {
   if (nodes_.empty()) {
     return 0.0;
   }
@@ -614,10 +651,35 @@ double ResourceManager::AverageTotalUtilization(double t) const {
     const int32_t trace = table_.trace_index()[table_.group_begin(g)];
     const double primary = trace < 0 ? 0.0 : table_.trace(trace)->AtTime(t);
     for (size_t s = table_.group_begin(g); s < end; ++s) {
-      sum += nodes_[s].TotalUtilizationGiven(primary);
+      sum += term(s, primary);
     }
   }
   return sum / static_cast<double>(nodes_.size());
+}
+
+double ResourceManager::AverageTotalUtilization(double t) const {
+  return FleetAverage(
+      t, [this](size_t s, double primary) { return nodes_[s].TotalUtilizationGiven(primary); });
+}
+
+double ResourceManager::AveragePrimaryUtilization(double t) const {
+  return FleetAverage(t, [](size_t, double primary) { return primary; });
+}
+
+void ResourceManager::BuildStalePickersForTest() {
+  if (!profile_.valid || cached_slot_ == kNoSlot) {
+    return;  // no weights to build from yet
+  }
+  for (int c = -1; c < num_classes_; ++c) {
+    EnsurePicker(c);
+  }
+}
+
+const ShardedPicker* ResourceManager::BuiltPickerForTest(int class_id) const {
+  if (picker_built_[static_cast<size_t>(class_id + 1)] == 0) {
+    return nullptr;
+  }
+  return class_id < 0 ? &all_servers_picker_ : &class_pickers_[static_cast<size_t>(class_id)];
 }
 
 bool ResourceManager::AuditCachesForTest(std::string* error) const {
@@ -675,6 +737,20 @@ bool ResourceManager::AuditCachesForTest(std::string* error) const {
     return true;  // nothing cached yet
   }
   const double t = cache_time_;
+  // Every sampler a draw can read: a built one as ResyncNode kept it, a
+  // stale one as EnsurePicker would build it from node_weight_ at the next
+  // draw that reads it.
+  std::vector<int64_t> column;
+  auto readable = [&](int class_id, ShardedPicker& scratch) -> const ShardedPicker& {
+    if (const ShardedPicker* built = BuiltPickerForTest(class_id)) {
+      return *built;
+    }
+    scratch = class_id < 0 ? all_servers_picker_ : class_pickers_[static_cast<size_t>(class_id)];
+    FillPicker(class_id, scratch, column);
+    return scratch;
+  };
+  ShardedPicker global_scratch;
+  const ShardedPicker& global = readable(-1, global_scratch);
   int64_t weight_total = 0;
   for (size_t s = 0; s < nodes_.size(); ++s) {
     const NodeManager& node = nodes_[s];
@@ -708,17 +784,18 @@ bool ResourceManager::AuditCachesForTest(std::string* error) const {
     if (expected != node_weight_[s]) {
       return fail("stale weight" + at);
     }
-    if (all_servers_picker_.PrefixSum(s + 1) - all_servers_picker_.PrefixSum(s) != expected) {
-      return fail("global Fenwick out of sync" + at);
+    if (global.PrefixSum(s + 1) - global.PrefixSum(s) != expected) {
+      return fail("global sampler out of sync" + at);
     }
     weight_total += expected;
   }
-  if (profile_.valid && all_servers_picker_.Total() != weight_total) {
-    return fail("global Fenwick total mismatch");
+  if (profile_.valid && global.Total() != weight_total) {
+    return fail("global sampler total mismatch");
   }
   for (int c = 0; c < num_classes_; ++c) {
     const auto& servers = class_servers_[static_cast<size_t>(c)];
-    const ShardedPicker& picker = class_pickers_[static_cast<size_t>(c)];
+    ShardedPicker class_scratch;
+    const ShardedPicker& picker = readable(c, class_scratch);
     const std::string at = " for class " + std::to_string(c);
     int64_t cores = 0;
     int64_t class_weight = 0;
@@ -727,7 +804,7 @@ bool ResourceManager::AuditCachesForTest(std::string* error) const {
       cores += IsUnavailable(servers[i]) ? 0 : nodes_[s].AvailableForSecondary(t).cores;
       if (profile_.valid) {
         if (picker.PrefixSum(i + 1) - picker.PrefixSum(i) != node_weight_[s]) {
-          return fail("class Fenwick out of sync" + at);
+          return fail("class sampler out of sync" + at);
         }
         class_weight += node_weight_[s];
       }
@@ -736,7 +813,7 @@ bool ResourceManager::AuditCachesForTest(std::string* error) const {
       return fail("class available-cores aggregate mismatch" + at);
     }
     if (profile_.valid && picker.Total() != class_weight) {
-      return fail("class Fenwick total mismatch" + at);
+      return fail("class sampler total mismatch" + at);
     }
     if (class_util_slot_[static_cast<size_t>(c)] == cached_slot_ && !servers.empty()) {
       double sum = 0.0;

@@ -9,8 +9,12 @@
 // forecast, and the placement weight are cached per telemetry slot (primary
 // usage is piecewise-constant at kSlotSeconds granularity) and resynced on
 // container add / remove / reserve kills; per-class availability is a running
-// aggregate; and placement draws sample a Fenwick tree (O(log n)) instead of
-// scanning a dense weight vector (O(n)). The cached path consumes the RNG
+// aggregate; and placement draws sample a two-level block picker (a scan of
+// block sums, then of at most 64 leaves; O(1) updates) instead of scanning a
+// dense weight vector. A sampler is built at the first draw that reads it in
+// a slot and kept current only from then on: PT draws read only the
+// all-servers sampler and H draws only class samplers, so the other set is
+// never built. The cached path consumes the RNG
 // identically to the historical dense scan -- same draws, same picks -- so
 // simulation results are byte-identical (see src/util/weighted_picker.h for
 // the exactness argument, and tests/rm_oracle_test.cc for the oracle that
@@ -18,7 +22,7 @@
 //
 // Sharding (100k-server DCs): accounting is partitioned into contiguous
 // ServerId shards derived from the FleetTable (snapped to telemetry-group
-// boundaries). Each shard owns one Fenwick sub-tree per sampler and one
+// boundaries). Each shard owns one sub-picker per sampler and one
 // partial per-class aggregate; the per-slot refresh runs the shards as
 // independent tasks on up to `slot_threads` workers and merges the partials
 // serially in shard order (exact integer sums). Trace-dependent per-slot
@@ -111,6 +115,10 @@ class ResourceManager {
   // the dense ServerId-order sum of NodeManager::TotalUtilization, with each
   // telemetry group's trace read once.
   double AverageTotalUtilization(double t) const;
+  // Cluster-wide average primary utilization at `t`: the dense ServerId-
+  // order sum of Server::PrimaryUtilizationAt, with each telemetry group's
+  // trace read once.
+  double AveragePrimaryUtilization(double t) const;
 
   int64_t total_kills() const { return total_kills_; }
 
@@ -184,16 +192,23 @@ class ResourceManager {
   }
 
   // Test hook: recomputes every cached quantity (per-node availability,
-  // forecasts, weights, per-class aggregates, Fenwick totals, the active
-  // set) by naive full rescan at the cached slot's timestamp and compares
-  // exactly. Returns false and fills `error` on the first mismatch.
+  // forecasts, weights, per-class aggregates, the active set, and every
+  // sampler a draw can read -- built ones as they stand, stale ones as the
+  // next draw would build them) by naive full rescan at the cached slot's
+  // timestamp and compares exactly. Returns false and fills `error` on the
+  // first mismatch.
   bool AuditCachesForTest(std::string* error) const;
+  // Test hooks for the lazy samplers: builds every stale sampler now (as if
+  // a draw read it), and returns sampler `class_id` (-1 = all servers) or
+  // nullptr while it is stale.
+  void BuildStalePickersForTest();
+  const ShardedPicker* BuiltPickerForTest(int class_id) const;
 
  private:
   // The weight function of one Allocate call: container shape, whether the
   // history bonus applies, and the forecast-window sample count it implies.
   // All requests of one co-simulation share a profile, so the weights and
-  // Fenwick trees persist across calls and profile switches are rare.
+  // samplers persist across calls and profile switches are rare.
   struct PlacementProfile {
     Resources shape{0, 0};
     bool history_aware = false;
@@ -247,9 +262,20 @@ class ResourceManager {
   void MaybeParkOnDrain(ServerId s);
   // Recomputes per-node primary cores (once per telemetry group) and
   // availability + class aggregates, and (when a profile is cached) all
-  // weights + Fenwick sub-trees: one task per shard, partials merged
-  // serially in shard order.
+  // weights: one task per shard, partials merged serially in shard order.
+  // Marks every sampler stale.
   void RebuildAvailabilityAndWeights() const;
+  // Builds sampler `class_id` (-1 = all servers) into `picker`, whose
+  // layout is already set, from node_weight_; `column` is gather scratch
+  // for class samplers.
+  void FillPicker(int class_id, ShardedPicker& picker, std::vector<int64_t>& column) const;
+  // Sampler `class_id` (-1 = all servers), built from node_weight_ first
+  // if it is stale.
+  const ShardedPicker& EnsurePicker(int class_id) const;
+  // The dense ServerId-order sum of term(server, primary fraction) over the
+  // fleet, divided by its size, with each telemetry group's trace read once.
+  template <typename Term>
+  double FleetAverage(double t, Term term) const;
   // Placement weight of server `s` from its cached inputs and live
   // allocations. Zero when the profile's shape does not fit.
   int64_t NodeWeight(ServerId s) const;
@@ -280,7 +306,7 @@ class ResourceManager {
   std::vector<NodeManager> nodes_;
   std::vector<int> server_class_;
   std::vector<std::vector<ServerId>> class_servers_;
-  // Position of each server inside its class list (Fenwick index).
+  // Position of each server inside its class list (class sampler index).
   std::vector<size_t> class_pos_;
   int num_classes_ = 0;
   ContainerId next_container_id_ = 1;
@@ -324,15 +350,26 @@ class ResourceManager {
   mutable std::vector<int64_t> node_weight_;
   // Placement samplers: all servers in ServerId order (label-free requests)
   // and one per class in class-list order (labeled requests). Sharded: one
-  // Fenwick sub-tree per shard, rebuilt shard-parallel each slot.
+  // sub-picker per shard. Every slot rebuild and profile switch marks them
+  // all stale; EnsurePicker builds one at the first draw that reads it, and
+  // ResyncNode updates only built ones. picker_built_[0] flags the
+  // all-servers sampler, picker_built_[c + 1] class c.
   mutable ShardedPicker all_servers_picker_;
   mutable std::vector<ShardedPicker> class_pickers_;
+  mutable std::vector<uint8_t> picker_built_;
+  mutable std::vector<int64_t> picker_column_;  // class-sampler build scratch
+  // Allocate's candidate segments (reused across calls).
+  std::vector<const ShardedPicker*> segments_;
+  std::vector<int> segment_class_;
   // Running aggregate: sum of cached available cores per class.
   mutable std::vector<int64_t> class_avail_cores_;
-  // Per-class mean primary utilization, computed once per slot on demand.
+  // Per-class mean primary utilization, computed once per slot on demand
+  // from per-group primary fractions read once per slot.
   mutable std::vector<int64_t> class_util_slot_;
   mutable std::vector<double> class_util_value_;
-  // Per-slot rebuild scratch (per-shard class partials, weight columns).
+  mutable int64_t group_util_slot_ = kNoSlot;
+  mutable std::vector<double> group_primary_util_;
+  // Per-slot rebuild scratch (per-shard class partials).
   mutable Arena arena_;
 };
 

@@ -1,25 +1,29 @@
-// Sharded Fenwick-tree weighted sampler: one WeightedPicker per contiguous
-// index range ("shard"), with draws and prefix sums that are bit-identical
-// to a single dense picker over the whole range.
+// Sharded block weighted sampler: one WeightedPicker per contiguous index
+// range ("shard"), with draws and prefix sums that are bit-identical to a
+// single dense picker over the whole range.
 //
-// Why shard at all: the ResourceManager rebuilds its samplers once per
-// telemetry slot from dense weight columns. With one tree that rebuild is a
-// serial O(n) pass; with shards each sub-tree covers a disjoint index range
-// and can be rebuilt by a different worker (BuildShard is safe to call
-// concurrently for distinct shards). Point updates and draws stay O(log
-// shard-size) plus an O(shards) walk.
+// Why shard at all: the ResourceManager partitions its accounting into
+// contiguous ServerId shards, and each sampler follows that partition, so a
+// sub-picker covers a disjoint index range and rebuilds from its own slice
+// of a dense weight column (BuildShard is safe to call concurrently for
+// distinct shards). Point updates stay O(log shards) to find the shard plus
+// O(1) inside it; a draw walks the shard totals and then one shard's block
+// sums and leaves.
 //
 // Why the bytes cannot change: a draw locates the smallest index whose
 // inclusive prefix sum reaches `point`. The shard walk subtracts whole-shard
 // totals (exact int64 sums of integer weights) from `point` in shard order
-// before descending one sub-tree -- the same "subtract a block total, then
-// resolve inside the block" arithmetic ResourceManager::Allocate already
-// uses across class segments, and the same exactness argument as
-// src/util/weighted_picker.h: every tree value and every shard total is an
-// integer below 2^53, so the comparisons agree with the dense subtraction
-// scan. Shard count is therefore an execution-layout knob, like thread
-// count: tests/rm_oracle_test.cc re-runs its oracle at several shard counts
-// and tests/shard_determinism.sh byte-compares whole scenario runs.
+// before resolving inside one shard -- the same "subtract a block total,
+// then resolve inside the block" arithmetic ResourceManager::Allocate uses
+// across class segments and WeightedPicker::LowerBound uses across its
+// 64-leaf blocks, with the same exactness argument as
+// src/util/weighted_picker.h: every leaf, block sum and shard total is an
+// integer below 2^53, so each subtraction is exact and the walk stops where
+// the dense subtraction scan stops. Shard count is therefore an
+// execution-layout knob, like thread count: tests/weighted_picker_test.cc
+// compares several shard layouts against Rng::WeightedIndex,
+// tests/rm_oracle_test.cc re-runs its oracle at several shard counts, and
+// tests/shard_determinism.sh byte-compares whole scenario runs.
 
 #ifndef HARVEST_SRC_UTIL_SHARDED_PICKER_H_
 #define HARVEST_SRC_UTIL_SHARDED_PICKER_H_
@@ -61,7 +65,7 @@ class ShardedPicker {
 
   // Rebuilds shard k from the dense weight column (global indexing:
   // `weights[shard_begin(k)] .. weights[shard_end(k) - 1]`). Writes only
-  // shard k's sub-tree, so distinct shards may build concurrently.
+  // shard k's sub-picker, so distinct shards may build concurrently.
   void BuildShard(int shard, const int64_t* weights) {
     shards_[static_cast<size_t>(shard)].Build(weights + shard_begin(shard),
                                               shard_end(shard) - shard_begin(shard));
@@ -87,7 +91,7 @@ class ShardedPicker {
   int64_t Total() const { return total_; }
 
   // Sets element `i` (global index) from `old_weight` to `new_weight` in
-  // O(log shards + log shard-size).
+  // O(log shards).
   void Update(size_t i, int64_t old_weight, int64_t new_weight) {
     if (old_weight == new_weight) {
       return;
@@ -112,8 +116,8 @@ class ShardedPicker {
   }
 
   // Smallest global index i with prefix(i) >= point, for 0 < point <=
-  // Total(): walk shard totals in order, then descend inside the owning
-  // shard. Exact for the same reason the dense tree is.
+  // Total(): walk shard totals in order, then resolve inside the owning
+  // shard. Exact for the same reason the single picker is.
   size_t LowerBound(double point) const {
     const int last = num_shards() - 1;
     for (int k = 0; k < last; ++k) {

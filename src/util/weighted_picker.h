@@ -1,11 +1,13 @@
-// Fenwick-tree weighted sampler with replay-exact semantics.
+// Two-level block weighted sampler with replay-exact semantics.
 //
 // ResourceManager's placement draw historically materialized a dense weight
 // vector and called Rng::WeightedIndex on it: one pass to total the weights,
 // one NextDouble() draw, and one subtraction scan to locate the index --
-// O(n) per placed container. This sampler keeps the weights in a Fenwick
-// (binary indexed) tree so a draw is O(log n) and a single-element update is
-// O(log n), while reproducing WeightedIndex's selection *bit for bit*:
+// O(n) per placed container. This sampler keeps the weights as flat leaves
+// plus one running sum per block of kBlock leaves, so a single-element
+// update is O(1) (leaf, block sum, total) and a draw is one scan over block
+// sums followed by one scan over at most kBlock leaves, while reproducing
+// WeightedIndex's selection *bit for bit*:
 //
 //   * Weights here are non-negative int64. Every weight the scheduler uses
 //     (available cores, the history bonus 50 * type cores) is integer-valued,
@@ -16,17 +18,25 @@
 //     first index i whose inclusive prefix sum reaches `point`, skipping
 //     zero weights. Because the weights are integers and `point < 2^53`,
 //     every `point -= w[i]` in the dense scan is exact, so that scan is
-//     equivalent to "smallest i with prefix(i) >= point" -- exactly what
-//     LowerBound computes by descending the tree. The point == 0 corner
-//     (NextDouble() returned 0.0) selects the first positive weight in both
-//     implementations; callers handle it by passing any point in (0, 1].
+//     equivalent to "smallest i with prefix(i) >= point". For an integer
+//     prefix sum, prefix(i) >= point holds exactly when prefix(i) >=
+//     ceil(point), so LowerBound rounds the point up once and then runs
+//     the same "subtract while smaller" walk in int64: first over whole
+//     block sums, then over the leaves of the block the walk stopped in.
+//     Subtracting a block sum is the dense scan's run of leaf subtractions
+//     done at once, so both walks stop at the same index. The point == 0
+//     corner (NextDouble() returned 0.0) selects the first positive weight
+//     in both implementations; callers handle it by passing any point in
+//     (0, 1].
 //
-// The equivalence is exercised end to end by tests/rm_oracle_test.cc and by
-// the byte-identical tests/golden/ diffs.
+// The equivalence is tested directly against Rng::WeightedIndex by
+// tests/weighted_picker_test.cc, end to end by tests/rm_oracle_test.cc, and
+// by the byte-identical tests/golden/ diffs.
 
 #ifndef HARVEST_SRC_UTIL_WEIGHTED_PICKER_H_
 #define HARVEST_SRC_UTIL_WEIGHTED_PICKER_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -35,76 +45,79 @@ namespace harvest {
 
 class WeightedPicker {
  public:
+  // Leaves per block: a draw scans at most size / kBlock block sums and
+  // then at most kBlock leaves.
+  static constexpr size_t kBlock = 64;
+
   WeightedPicker() = default;
 
-  size_t size() const { return size_; }
+  size_t size() const { return leaves_.size(); }
   int64_t Total() const { return total_; }
 
-  // Re-initializes to `weights` in O(n) (in-place prefix doubling).
+  // Re-initializes to `weights` in O(n).
   void Build(const std::vector<int64_t>& weights) { Build(weights.data(), weights.size()); }
 
   // Same, from a raw column slice (the sharded rebuild path hands each
   // shard its window of one dense weight column).
   void Build(const int64_t* weights, size_t count) {
-    size_ = count;
-    tree_.assign(size_ + 1, 0);
+    leaves_.assign(weights, weights + count);
+    blocks_.assign((count + kBlock - 1) / kBlock, 0);
     total_ = 0;
-    for (size_t i = 0; i < size_; ++i) {
-      tree_[i + 1] += weights[i];
+    for (size_t i = 0; i < count; ++i) {
+      blocks_[i / kBlock] += weights[i];
       total_ += weights[i];
-      size_t parent = (i + 1) + ((i + 1) & (~(i + 1) + 1));
-      if (parent <= size_) {
-        tree_[parent] += tree_[i + 1];
-      }
-    }
-    top_bit_ = 1;
-    while ((top_bit_ << 1) <= size_) {
-      top_bit_ <<= 1;
     }
   }
 
-  // Sets element `i` from `old_weight` to `new_weight` in O(log n).
+  // Sets element `i` from `old_weight` to `new_weight` in O(1).
   void Update(size_t i, int64_t old_weight, int64_t new_weight) {
-    int64_t delta = new_weight - old_weight;
-    if (delta == 0) {
-      return;
-    }
+    const int64_t delta = new_weight - old_weight;
+    leaves_[i] = new_weight;
+    blocks_[i / kBlock] += delta;
     total_ += delta;
-    for (size_t k = i + 1; k <= size_; k += k & (~k + 1)) {
-      tree_[k] += delta;
-    }
   }
 
-  // Sum of the first `count` elements, in O(log n). Exposed for cache
-  // audits (tests recover individual weights as adjacent-prefix deltas).
+  // Sum of the first `count` elements: whole block sums, then the leaves of
+  // the partial block. Exposed for cache audits (tests recover individual
+  // weights as adjacent-prefix deltas).
   int64_t PrefixSum(size_t count) const {
     int64_t sum = 0;
-    for (size_t k = count; k > 0; k -= k & (~k + 1)) {
-      sum += tree_[k];
+    const size_t full = count / kBlock;
+    for (size_t b = 0; b < full; ++b) {
+      sum += blocks_[b];
+    }
+    for (size_t i = full * kBlock; i < count; ++i) {
+      sum += leaves_[i];
     }
     return sum;
   }
 
   // Smallest index i with prefix(i) = w[0] + ... + w[i] >= point, for
-  // 0 < point <= Total(). The comparison arithmetic is exact (integer tree
-  // values against an integer-plus-fraction point), which is what makes the
-  // result identical to the dense subtraction scan.
+  // 0 < point <= Total(). Exact integer arithmetic against ceil(point),
+  // which is what makes the result identical to the dense subtraction scan.
   size_t LowerBound(double point) const {
-    size_t pos = 0;
-    for (size_t step = top_bit_; step > 0; step >>= 1) {
-      size_t next = pos + step;
-      if (next <= size_ && static_cast<double>(tree_[next]) < point) {
-        point -= static_cast<double>(tree_[next]);
-        pos = next;
-      }
+    if (leaves_.empty()) {
+      return 0;
     }
-    return pos;  // 0-based: `pos` elements lie strictly before the pick
+    int64_t target = static_cast<int64_t>(std::ceil(point));
+    size_t block = 0;
+    const size_t last_block = blocks_.size() - 1;
+    while (block < last_block && blocks_[block] < target) {
+      target -= blocks_[block];
+      ++block;
+    }
+    size_t i = block * kBlock;
+    const size_t last = (block == last_block ? leaves_.size() : i + kBlock) - 1;
+    while (i < last && leaves_[i] < target) {
+      target -= leaves_[i];
+      ++i;
+    }
+    return i;  // 0-based: `i` elements lie strictly before the pick
   }
 
  private:
-  std::vector<int64_t> tree_;  // 1-based Fenwick array
-  size_t size_ = 0;
-  size_t top_bit_ = 0;
+  std::vector<int64_t> leaves_;  // one weight per element
+  std::vector<int64_t> blocks_;  // blocks_[b] = sum of leaves [b*kBlock, (b+1)*kBlock)
   int64_t total_ = 0;
 };
 

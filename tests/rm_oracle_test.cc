@@ -9,9 +9,15 @@
 //     dense-scan algorithm (candidate snapshot + Rng::WeightedIndex + local
 //     decrements) run on a copy of the RNG -- including that both consume
 //     the RNG stream identically, and
-//   * checks that AverageTotalUtilization, which reads each telemetry
-//     group's trace once, equals the dense per-node TotalUtilization sum
-//     bit for bit.
+//   * checks that AverageTotalUtilization and AveragePrimaryUtilization,
+//     which read each telemetry group's trace once, equal the dense
+//     per-server sums bit for bit.
+//
+// The samplers are lazy (built at the first draw that reads them in a slot,
+// then updated in place), so the audit checks every sampler a draw can read,
+// and LazySamplersMatchEagerlyBuiltOnes force-builds stale samplers mid-slot
+// and after profile switches and compares them with incrementally updated
+// ones.
 //
 // Runs >= 1000 operations in each of PT and H modes (ISSUE 3 acceptance).
 
@@ -21,6 +27,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -107,25 +114,41 @@ void ExpectClassAggregatesMatchNaive(const ResourceManager& rm, double t) {
   for (int c = 0; c < rm.NumClasses(); ++c) {
     const auto& servers = rm.ClassServers(c);
     int naive_cores = 0;
+    double naive_util = 0.0;
     for (ServerId s : servers) {
       naive_cores += rm.node(s).AvailableForSecondary(t).cores;
+      naive_util += rm.node(s).server().PrimaryUtilizationAt(t);
     }
     EXPECT_EQ(rm.ClassAvailableCores(c, t), naive_cores) << "class " << c << " at t=" << t;
+    if (!servers.empty()) {
+      // Bits: the served mean reads each telemetry group's trace once per
+      // slot but must add the same per-server terms in the same order.
+      naive_util /= static_cast<double>(servers.size());
+      EXPECT_EQ(std::bit_cast<uint64_t>(rm.ClassCurrentUtilization(c, t)),
+                std::bit_cast<uint64_t>(naive_util))
+          << "class " << c << " at t=" << t;
+    }
   }
 }
 
-// The fleet average the co-simulation samples every tick, recomputed as the
-// dense ServerId-order sum of per-node TotalUtilization. Compared as bits:
-// the production sum hoists the trace read per telemetry group, and any
-// regrouping of the float additions would show here.
+// The fleet averages the co-simulation samples every tick, recomputed as the
+// dense ServerId-order sums of per-node TotalUtilization and per-server
+// primary utilization. Compared as bits: the production sums hoist the trace
+// read per telemetry group, and any regrouping of the float additions would
+// show here.
 void ExpectAverageUtilizationMatchesDense(const ResourceManager& rm, double t) {
   double sum = 0.0;
+  double primary_sum = 0.0;
   for (ServerId s = 0; s < static_cast<ServerId>(rm.num_nodes()); ++s) {
     sum += rm.node(s).TotalUtilization(t);
+    primary_sum += rm.node(s).server().PrimaryUtilizationAt(t);
   }
-  const double dense = sum / static_cast<double>(rm.num_nodes());
+  const double nodes = static_cast<double>(rm.num_nodes());
   EXPECT_EQ(std::bit_cast<uint64_t>(rm.AverageTotalUtilization(t)),
-            std::bit_cast<uint64_t>(dense))
+            std::bit_cast<uint64_t>(sum / nodes))
+      << "at t=" << t;
+  EXPECT_EQ(std::bit_cast<uint64_t>(rm.AveragePrimaryUtilization(t)),
+            std::bit_cast<uint64_t>(primary_sum / nodes))
       << "at t=" << t;
 }
 
@@ -149,6 +172,39 @@ Cluster BuildSharedTraceCluster(uint64_t seed) {
   return BuildCluster(DatacenterByName("DC-0"), options, build_rng);
 }
 
+// A random request of the oracle's mix: 1-8 containers of a 1- or 2-core
+// shape, a task length that sometimes exceeds the forecast-window floor, and
+// in H mode a random class subset 70% of the time (empty otherwise).
+ContainerRequest RandomRequest(SchedulerMode mode, int job, Rng& op_rng) {
+  ContainerRequest request;
+  request.job = job;
+  request.count = static_cast<int>(op_rng.UniformInt(1, 8));
+  request.resources = op_rng.Bernoulli(0.8) ? Resources{1, 2048} : Resources{2, 4096};
+  request.task_seconds = op_rng.Uniform(20.0, 300.0);
+  if (op_rng.Bernoulli(0.1)) {
+    request.task_seconds = op_rng.Uniform(3.5, 6.0) * 3600.0;  // above the window floor
+  }
+  request.history_aware = mode == SchedulerMode::kHistory;
+  if (mode == SchedulerMode::kHistory && op_rng.Bernoulli(0.7)) {
+    // A random non-empty subset of distinct classes, in random order.
+    std::vector<int> all = {0, 1, 2, 3};
+    op_rng.Shuffle(all);
+    size_t take = static_cast<size_t>(op_rng.UniformInt(1, 4));
+    request.allowed_classes.assign(all.begin(), all.begin() + take);
+  }
+  return request;
+}
+
+// Deterministic 4-class striping: enough classes to exercise labeled
+// segments without depending on the clustering service.
+void StripeClasses(ResourceManager& rm) {
+  std::vector<int> classes(rm.num_nodes());
+  for (size_t s = 0; s < classes.size(); ++s) {
+    classes[s] = static_cast<int>(s % 4);
+  }
+  rm.SetServerClasses(std::move(classes));
+}
+
 // Drives the randomized operation sequence over `cluster`; `kills`, when
 // given, receives the RM's reserve-kill total.
 void RunOracleOn(const Cluster& cluster, SchedulerMode mode, uint64_t seed, int shards,
@@ -158,13 +214,7 @@ void RunOracleOn(const Cluster& cluster, SchedulerMode mode, uint64_t seed, int 
   // matter how the accounting is partitioned.
   ResourceManager rm(&cluster, mode, kDefaultReserve, shards);
   if (mode == SchedulerMode::kHistory) {
-    // Deterministic 4-class striping: enough classes to exercise labeled
-    // segments without depending on the clustering service.
-    std::vector<int> classes(cluster.num_servers());
-    for (size_t s = 0; s < classes.size(); ++s) {
-      classes[s] = static_cast<int>(s % 4);
-    }
-    rm.SetServerClasses(std::move(classes));
+    StripeClasses(rm);
   }
 
   Rng op_rng(seed ^ 0x0badc0ffeeULL);  // drives the operation mix
@@ -179,24 +229,7 @@ void RunOracleOn(const Cluster& cluster, SchedulerMode mode, uint64_t seed, int 
     t += op_rng.Uniform(0.0, 250.0);
     const uint64_t kind = op_rng.NextBounded(10);
     if (kind < mix.allocate || live.empty()) {
-      ContainerRequest request;
-      request.job = op;
-      request.count = static_cast<int>(op_rng.UniformInt(1, 8));
-      request.resources =
-          op_rng.Bernoulli(0.8) ? Resources{1, 2048} : Resources{2, 4096};
-      request.task_seconds = op_rng.Uniform(20.0, 300.0);
-      if (op_rng.Bernoulli(0.1)) {
-        request.task_seconds = op_rng.Uniform(3.5, 6.0) * 3600.0;  // above the window floor
-      }
-      request.history_aware = mode == SchedulerMode::kHistory;
-      if (mode == SchedulerMode::kHistory && op_rng.Bernoulli(0.7)) {
-        // A random non-empty subset of distinct classes, in random order.
-        std::vector<int> all = {0, 1, 2, 3};
-        op_rng.Shuffle(all);
-        size_t take = static_cast<size_t>(op_rng.UniformInt(1, 4));
-        request.allowed_classes.assign(all.begin(), all.begin() + take);
-      }
-
+      const ContainerRequest request = RandomRequest(mode, op, op_rng);
       Rng reference_rng = rng;  // copy: the reference must not advance the real stream
       std::vector<ServerId> expected = ReferencePlacements(rm, request, t, reference_rng);
       std::vector<Container> placed = rm.Allocate(request, t, rng);
@@ -309,6 +342,125 @@ TEST(RmOracleTest, SharedTraceFleetUnderKillHeavyMix) {
       RunOracleOn(cluster, mode, 404, shards, OpMix{5, 1}, &kills);
       EXPECT_GT(kills, 0) << "the mix must actually kill containers";
     }
+  }
+}
+
+// Sampler `a` equals sampler `b`, element for element.
+void ExpectSamePicker(const ShardedPicker& a, const ShardedPicker& b, const std::string& where) {
+  ASSERT_EQ(a.size(), b.size()) << where;
+  ASSERT_EQ(a.Total(), b.Total()) << where;
+  for (size_t i = 1; i <= a.size(); ++i) {
+    ASSERT_EQ(a.PrefixSum(i), b.PrefixSum(i)) << where << " prefix " << i;
+  }
+}
+
+// The samplers are built lazily: each slot rebuild or profile switch marks
+// them stale, a draw builds the ones it reads, and ResyncNode updates only
+// built ones. Two RMs take the same operations and RNG streams. `eager`
+// builds every stale sampler after every operation, so from then on its
+// samplers are only updated in place; `lazy` builds one only when a draw
+// reads it. Every third operation force-builds lazy's stale samplers -- in
+// the middle of a slot, or after a profile switch -- and each must equal
+// eager's incrementally updated one; placements, kills and RNG use must
+// match throughout, and both RMs must pass the audit.
+TEST(RmOracleTest, LazySamplersMatchEagerlyBuiltOnes) {
+  const Cluster cluster = BuildSharedTraceCluster(505);
+  for (SchedulerMode mode : {SchedulerMode::kPrimaryAware, SchedulerMode::kHistory}) {
+    const std::string mode_name = SchedulerModeName(mode);
+    ResourceManager lazy(&cluster, mode, kDefaultReserve, /*shards=*/3);
+    ResourceManager eager(&cluster, mode, kDefaultReserve, /*shards=*/3);
+    if (mode == SchedulerMode::kHistory) {
+      StripeClasses(lazy);
+      StripeClasses(eager);
+    }
+    Rng op_rng(505);
+    Rng lazy_rng(77);
+    Rng eager_rng(77);
+    std::vector<Container> live;
+    double t = 0.0;
+    int64_t rm_slot = -1;      // slot of the last call that refreshed the caches
+    int64_t profile_key = -1;  // shape and forecast samples of the last request
+    bool after_profile_switch = false;  // vs. after a slot change
+    int last_rebuild_op = -1;
+    int mid_slot_builds = 0;
+    int profile_switch_builds = 0;
+    for (int op = 0; op < 900; ++op) {
+      t += op_rng.Uniform(0.0, 60.0);  // about half the ops stay in their slot
+      const int64_t slot = static_cast<int64_t>(std::floor(t / kSlotSeconds));
+      const uint64_t kind = op_rng.NextBounded(10);
+      const std::string at = mode_name + " op " + std::to_string(op);
+      if (kind < 5 || live.empty()) {
+        const ContainerRequest request = RandomRequest(mode, op, op_rng);
+        const int samples =
+            request.history_aware
+                ? NodeManager::ForecastSampleCount(
+                      std::max(request.task_seconds, kMinForecastWindowSeconds))
+                : 0;
+        const int64_t key = request.resources.cores * 1000 + samples;
+        if (slot != rm_slot || key != profile_key) {
+          after_profile_switch = slot == rm_slot;
+          last_rebuild_op = op;
+        }
+        rm_slot = slot;
+        profile_key = key;
+        const std::vector<Container> placed = lazy.Allocate(request, t, lazy_rng);
+        const std::vector<Container> twin = eager.Allocate(request, t, eager_rng);
+        ASSERT_EQ(placed.size(), twin.size()) << at;
+        for (size_t i = 0; i < placed.size(); ++i) {
+          ASSERT_EQ(placed[i].server, twin[i].server) << at << " placement " << i;
+          ASSERT_EQ(placed[i].id, twin[i].id) << at;
+        }
+        ASSERT_EQ(lazy_rng.Next(), eager_rng.Next()) << at << ": RNG streams diverged";
+        live.insert(live.end(), placed.begin(), placed.end());
+      } else if (kind < 8) {
+        const size_t idx = static_cast<size_t>(op_rng.NextBounded(live.size()));
+        lazy.Release(live[idx]);
+        eager.Release(live[idx]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+      } else {
+        if (slot != rm_slot) {
+          after_profile_switch = false;
+          last_rebuild_op = op;
+        }
+        rm_slot = slot;
+        const std::vector<Container> killed = lazy.EnforceReserves(t);
+        const std::vector<Container> twin = eager.EnforceReserves(t);
+        ASSERT_EQ(killed.size(), twin.size()) << at;
+        for (size_t i = 0; i < killed.size(); ++i) {
+          ASSERT_EQ(killed[i].id, twin[i].id) << at;
+          live.erase(std::remove_if(live.begin(), live.end(),
+                                    [&killed, i](const Container& c) {
+                                      return c.id == killed[i].id;
+                                    }),
+                     live.end());
+        }
+      }
+      eager.BuildStalePickersForTest();
+      if (op % 3 == 2) {
+        bool any_stale = false;
+        for (int c = -1; c < lazy.NumClasses(); ++c) {
+          any_stale = any_stale || lazy.BuiltPickerForTest(c) == nullptr;
+        }
+        lazy.BuildStalePickersForTest();
+        for (int c = -1; c < lazy.NumClasses(); ++c) {
+          const ShardedPicker* built = lazy.BuiltPickerForTest(c);
+          const ShardedPicker* twin = eager.BuiltPickerForTest(c);
+          ASSERT_NE(built, nullptr) << at << " sampler " << c;
+          ASSERT_NE(twin, nullptr) << at << " sampler " << c;
+          ExpectSamePicker(*built, *twin, at + " sampler " + std::to_string(c));
+        }
+        // Count the comparisons where eager's sampler had been updated in
+        // place since its build and lazy's was built fresh just now.
+        if (any_stale && op > last_rebuild_op) {
+          ++(after_profile_switch ? profile_switch_builds : mid_slot_builds);
+        }
+      }
+      std::string error;
+      ASSERT_TRUE(lazy.AuditCachesForTest(&error)) << at << ": " << error;
+      ASSERT_TRUE(eager.AuditCachesForTest(&error)) << at << " (eager): " << error;
+    }
+    EXPECT_GT(mid_slot_builds, 0) << mode_name;
+    EXPECT_GT(profile_switch_builds, 0) << mode_name;
   }
 }
 
