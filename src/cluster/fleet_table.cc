@@ -68,22 +68,23 @@ int FleetTable::AutoShardCount(size_t servers) {
 
 std::vector<size_t> FleetTable::ShardStarts(int shards) const {
   const size_t n = num_servers();
-  std::vector<size_t> starts{0};
-  if (shards <= 1 || n == 0) {
-    return starts;
+  if (shards <= 0) {
+    shards = AutoShardCount(n);
   }
-  for (int k = 1; k < shards; ++k) {
+  std::vector<size_t> bounds{0};
+  for (int k = 1; k < shards && n > 0; ++k) {
     const size_t target = n * static_cast<size_t>(k) / static_cast<size_t>(shards);
     // Snap up to the next group boundary at or after `target`.
     auto it = std::lower_bound(group_start_.begin(), group_start_.end(), target);
     if (it == group_start_.end()) {
       break;
     }
-    if (*it > starts.back()) {
-      starts.push_back(*it);
+    if (*it > bounds.back()) {
+      bounds.push_back(*it);
     }
   }
-  return starts;
+  bounds.push_back(n);
+  return bounds;
 }
 
 }  // namespace harvest

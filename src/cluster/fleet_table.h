@@ -79,9 +79,11 @@ class FleetTable {
   // small fleets overhead-free and big fleets parallelizable.
   static int AutoShardCount(size_t servers);
 
-  // Contiguous shard partition: `shards` ascending start indexes (the first
-  // is always 0), each snapped up to the next group boundary. Fewer starts
-  // come back when the fleet has fewer groups than requested shards.
+  // Contiguous shard partition into `shards` shards (<= 0 = auto,
+  // AutoShardCount): k + 1 ascending bounds, so shard k is [bounds[k],
+  // bounds[k + 1]). The first bound is 0, the last num_servers(), and each
+  // inner one is snapped up to the next group boundary. Fewer shards come
+  // back when the fleet has fewer groups than requested shards.
   std::vector<size_t> ShardStarts(int shards) const;
 
  private:

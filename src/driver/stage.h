@@ -159,7 +159,7 @@ struct SchedulingStageResult {
   double mean_interarrival_seconds = 0.0;
   double target_utilization = 0.0;
   std::string storage_variant;
-  // Max RM scratch-arena high water across the PT / H runs (timing-block
+  // Max RM per-slot scratch bytes across the PT / H runs (timing-block
   // telemetry; not rendered with the scheduling results).
   int64_t arena_high_water_bytes = 0;
   SchedulingRunResult primary_aware;
@@ -330,8 +330,8 @@ FaultStageResult RunFaultStage(const DcContext& ctx, const Cluster& cluster,
 // strips or zeroes first.
 struct DcStageTiming {
   double fleet_build_seconds = 0.0;
-  // High-water mark of the scheduling RM's per-slot scratch arena (bytes);
-  // memory telemetry riding the timing block, stripped like the wall times.
+  // The scheduling RM's per-slot scratch bytes; memory telemetry riding the
+  // timing block, stripped like the wall times.
   int64_t arena_high_water_bytes = 0;
   double clustering_seconds = 0.0;
   // The utilization rescale ahead of the scheduling co-simulations, which

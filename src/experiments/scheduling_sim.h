@@ -145,8 +145,8 @@ struct SchedulingSimResult {
   // Average of per-server p99 (ms) per latency window, when collected.
   std::vector<double> p99_series_ms;
   StorageStats storage;
-  // High-water mark of the RM's per-slot scratch arena (memory telemetry for
-  // the driver's "timing" block; nothing deterministic reads it).
+  // The RM's per-slot scratch bytes (memory telemetry for the driver's
+  // "timing" block; nothing deterministic reads it).
   int64_t rm_arena_high_water_bytes = 0;
   // Containers started, by the ground-truth pattern of the hosting server's
   // tenant (indexed by UtilizationPattern).

@@ -15,24 +15,18 @@ EnergyAccountant::EnergyAccountant(const FleetTable* table, const PowerModel& mo
       price_(price),
       slot_threads_(std::max(1, slot_threads)),
       power_cap_watts_(power_cap_watts) {
-  const int resolved =
-      shards <= 0 ? FleetTable::AutoShardCount(table->num_servers()) : shards;
-  shard_starts_ = table_->ShardStarts(resolved);
-  shard_mw_.assign(shard_starts_.size(), 0);
+  shard_bounds_ = table_->ShardStarts(shards);
+  shard_mw_.assign(shard_bounds_.size() - 1, 0);
 }
 
 int64_t EnergyAccountant::FleetMilliwatts(double t, const std::vector<int32_t>* group_parked) {
-  const int shards = static_cast<int>(shard_starts_.size());
   const std::vector<int32_t>& group_of = table_->group();
   const std::vector<int32_t>& trace_of = table_->trace_index();
   const std::vector<int>& cores_of = table_->capacity_cores();
-  ParallelForIndex(slot_threads_, shards, [&](int shard) {
-    const size_t begin = shard_starts_[static_cast<size_t>(shard)];
-    const size_t end = static_cast<size_t>(shard) + 1 < shard_starts_.size()
-                           ? shard_starts_[static_cast<size_t>(shard) + 1]
-                           : table_->num_servers();
+  ParallelForIndex(slot_threads_, static_cast<int>(shard_mw_.size()), [&](int shard) {
+    const size_t end = shard_bounds_[static_cast<size_t>(shard) + 1];
     int64_t mw = 0;
-    size_t s = begin;
+    size_t s = shard_bounds_[static_cast<size_t>(shard)];
     while (s < end) {
       const int32_t g = group_of[s];
       const size_t group_end = std::min(end, table_->group_end(g));

@@ -99,7 +99,7 @@ class EnergyAccountant {
   PriceCurve price_;
   int slot_threads_ = 1;
   double power_cap_watts_ = 0.0;
-  std::vector<size_t> shard_starts_;
+  std::vector<size_t> shard_bounds_;  // shard k is [shard_bounds_[k], shard_bounds_[k + 1])
   std::vector<int64_t> shard_mw_;  // per-shard partials, merged in shard order
   int64_t secondary_mw_ = 0;       // running draw of live containers
   double last_power_watts_ = 0.0;

@@ -9,19 +9,6 @@ namespace harvest {
 NodeManager::NodeManager(const Server* server, Resources reserve, SchedulerMode mode)
     : server_(server), reserve_(reserve), mode_(mode) {}
 
-int NodeManager::HistoricalCores(double utilization) const {
-  const double cores = utilization * server_->capacity.cores;
-  return std::min(server_->capacity.cores, static_cast<int>(std::ceil(cores - 1e-9)));
-}
-
-int NodeManager::historical_average_cores() const {
-  return server_->utilization ? HistoricalCores(server_->utilization->Average()) : 0;
-}
-
-int NodeManager::historical_peak_cores() const {
-  return server_->utilization ? HistoricalCores(server_->utilization->Peak()) : 0;
-}
-
 int NodeManager::ForecastPrimaryCores(double t, double window_seconds) const {
   if (!server_->utilization || server_->utilization->empty()) {
     return 0;

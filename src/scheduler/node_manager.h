@@ -86,13 +86,6 @@ class NodeManager {
     return std::min(capacity_cores, std::max(0, cores));
   }
 
-  // Historical statistics of the primary tenant on this server (whole-trace
-  // aggregates, in cores, rounded up like the live reporting). Computed on
-  // demand: each is a full pass over the trace, and the co-simulation never
-  // asks.
-  int historical_average_cores() const;
-  int historical_peak_cores() const;
-
   void AddContainer(const Container& container);
   // Removes by container id; false when unknown.
   bool RemoveContainer(ContainerId id);
@@ -126,10 +119,6 @@ class NodeManager {
   bool idle() const { return containers_.empty(); }
 
  private:
-  // Whole-trace utilization fraction -> cores, rounded up, capped at
-  // capacity.
-  int HistoricalCores(double utilization) const;
-
   const Server* server_;
   Resources reserve_;
   SchedulerMode mode_;

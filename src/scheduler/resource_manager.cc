@@ -44,9 +44,7 @@ const char* SchedulerModeName(SchedulerMode mode) {
 ResourceManager::ResourceManager(const Cluster* cluster, SchedulerMode mode, Resources reserve,
                                  int shards, int slot_threads)
     : cluster_(cluster), mode_(mode), table_(*cluster) {
-  const int resolved =
-      shards <= 0 ? FleetTable::AutoShardCount(cluster->num_servers()) : shards;
-  shard_starts_ = table_.ShardStarts(resolved);
+  shard_bounds_ = table_.ShardStarts(shards);
   slot_threads_ = std::max(1, slot_threads);
   nodes_.reserve(cluster->num_servers());
   for (const auto& server : cluster->servers()) {
@@ -84,24 +82,10 @@ void ResourceManager::SetServerClasses(std::vector<int> server_class) {
   node_forecast_cores_.assign(nodes_.size(), 0);
   node_avail_.assign(nodes_.size(), Resources{0, 0});
   node_weight_.assign(nodes_.size(), 0);
-  // Shard layouts: the global sampler follows the FleetTable partition; each
-  // class sampler inherits it positionally (class lists are in ascending
-  // ServerId order, so shard k of class c is a contiguous position range,
-  // possibly empty).
-  all_servers_picker_.SetLayout(shard_starts_, nodes_.size());
-  class_pickers_.assign(static_cast<size_t>(num_classes_), ShardedPicker());
+  pickers_.assign(static_cast<size_t>(num_classes_) + 1, WeightedPicker());
   picker_built_.assign(static_cast<size_t>(num_classes_) + 1, 0);
-  for (int c = 0; c < num_classes_; ++c) {
-    const auto& servers = class_servers_[static_cast<size_t>(c)];
-    std::vector<size_t> starts;
-    starts.reserve(shard_starts_.size());
-    for (size_t shard_start : shard_starts_) {
-      const auto it = std::lower_bound(servers.begin(), servers.end(),
-                                       static_cast<ServerId>(shard_start));
-      starts.push_back(static_cast<size_t>(it - servers.begin()));
-    }
-    class_pickers_[static_cast<size_t>(c)].SetLayout(std::move(starts), servers.size());
-  }
+  class_partials_.assign(static_cast<size_t>(num_shards()) * static_cast<size_t>(num_classes_),
+                         0);
   class_avail_cores_.assign(static_cast<size_t>(num_classes_), 0);
   class_util_slot_.assign(static_cast<size_t>(num_classes_), kNoSlot);
   class_util_value_.assign(static_cast<size_t>(num_classes_), 1.0);
@@ -184,8 +168,8 @@ void ResourceManager::RefreshForecasts() const {
   const std::vector<int32_t>& trace_of = table_.trace_index();
   const std::vector<int>& cores_of = table_.capacity_cores();
   ParallelForIndex(slot_threads_, num_shards(), [&](int shard) {
-    const size_t end = all_servers_picker_.shard_end(shard);
-    size_t s = all_servers_picker_.shard_begin(shard);
+    const size_t end = shard_bounds_[static_cast<size_t>(shard) + 1];
+    size_t s = shard_bounds_[static_cast<size_t>(shard)];
     while (s < end) {
       const size_t group_end = std::min(end, table_.group_end(table_.group()[s]));
       const int trace = trace_of[s];
@@ -221,16 +205,10 @@ int64_t ResourceManager::NodeWeight(ServerId s) const {
 
 void ResourceManager::RebuildAvailabilityAndWeights() const {
   const int shards = num_shards();
-  // Arena scratch for this rebuild: per-(shard, class) available-core
-  // partials. All allocation happens before the fan-out; the arena is not
-  // thread-safe.
-  arena_.Reset();
-  int64_t* partials =
-      arena_.AllocateArray<int64_t>(static_cast<size_t>(shards) *
-                                    static_cast<size_t>(num_classes_));
+  std::fill(class_partials_.begin(), class_partials_.end(), 0);
   ParallelForIndex(slot_threads_, shards, [&](int shard) {
-    const size_t begin = all_servers_picker_.shard_begin(shard);
-    const size_t end = all_servers_picker_.shard_end(shard);
+    const size_t begin = shard_bounds_[static_cast<size_t>(shard)];
+    const size_t end = shard_bounds_[static_cast<size_t>(shard) + 1];
     // Live primary cores, once per telemetry group (pure function of the
     // trace and the capacity; identical to the per-server call).
     {
@@ -243,7 +221,8 @@ void ResourceManager::RebuildAvailabilityAndWeights() const {
         }
       }
     }
-    int64_t* partial = partials + static_cast<size_t>(shard) * static_cast<size_t>(num_classes_);
+    int64_t* partial =
+        class_partials_.data() + static_cast<size_t>(shard) * static_cast<size_t>(num_classes_);
     for (size_t s = begin; s < end; ++s) {
       // A parked or down server reports no room at all: weight 0 in every
       // sampler (Resources{0,0} fits no shape) and nothing in the class
@@ -262,8 +241,8 @@ void ResourceManager::RebuildAvailabilityAndWeights() const {
   for (int c = 0; c < num_classes_; ++c) {
     int64_t cores = 0;
     for (int shard = 0; shard < shards; ++shard) {
-      cores += partials[static_cast<size_t>(shard) * static_cast<size_t>(num_classes_) +
-                        static_cast<size_t>(c)];
+      cores += class_partials_[static_cast<size_t>(shard) * static_cast<size_t>(num_classes_) +
+                               static_cast<size_t>(c)];
     }
     class_avail_cores_[static_cast<size_t>(c)] = cores;
   }
@@ -274,30 +253,25 @@ void ResourceManager::RebuildAvailabilityAndWeights() const {
   std::fill(picker_built_.begin(), picker_built_.end(), 0);
 }
 
-void ResourceManager::FillPicker(int class_id, ShardedPicker& picker,
-                                 std::vector<int64_t>& column) const {
-  const int64_t* weights = node_weight_.data();
-  if (class_id >= 0) {
-    // Class samplers index by class-list position: gather the column.
-    const auto& servers = class_servers_[static_cast<size_t>(class_id)];
-    column.resize(servers.size());
-    for (size_t pos = 0; pos < servers.size(); ++pos) {
-      column[pos] = node_weight_[static_cast<size_t>(servers[pos])];
-    }
-    weights = column.data();
+void ResourceManager::FillPicker(int class_id, WeightedPicker& picker) const {
+  if (class_id < 0) {
+    picker.Build(node_weight_);
+    return;
   }
-  for (int shard = 0; shard < picker.num_shards(); ++shard) {
-    picker.BuildShard(shard, weights);
+  // Class samplers index by class-list position: gather the column.
+  const auto& servers = class_servers_[static_cast<size_t>(class_id)];
+  picker_column_.resize(servers.size());
+  for (size_t pos = 0; pos < servers.size(); ++pos) {
+    picker_column_[pos] = node_weight_[static_cast<size_t>(servers[pos])];
   }
-  picker.FinishBuild();
+  picker.Build(picker_column_);
 }
 
-const ShardedPicker& ResourceManager::EnsurePicker(int class_id) const {
-  ShardedPicker& picker =
-      class_id < 0 ? all_servers_picker_ : class_pickers_[static_cast<size_t>(class_id)];
+const WeightedPicker& ResourceManager::EnsurePicker(int class_id) const {
+  WeightedPicker& picker = pickers_[static_cast<size_t>(class_id + 1)];
   uint8_t& built = picker_built_[static_cast<size_t>(class_id + 1)];
   if (built == 0) {
-    FillPicker(class_id, picker, picker_column_);
+    FillPicker(class_id, picker);
     built = 1;
   }
   return picker;
@@ -341,10 +315,10 @@ void ResourceManager::ResyncNode(ServerId s) {
     // node_weight_ at its first draw.
     int64_t weight = NodeWeight(s);
     if (picker_built_[0] != 0) {
-      all_servers_picker_.Update(i, node_weight_[i], weight);
+      pickers_[0].Update(i, node_weight_[i], weight);
     }
     if (c >= 0 && c < num_classes_ && picker_built_[static_cast<size_t>(c) + 1] != 0) {
-      class_pickers_[static_cast<size_t>(c)].Update(class_pos_[i], node_weight_[i], weight);
+      pickers_[static_cast<size_t>(c) + 1].Update(class_pos_[i], node_weight_[i], weight);
     }
     node_weight_[i] = weight;
   }
@@ -385,7 +359,7 @@ std::vector<Container> ResourceManager::Allocate(const ContainerRequest& request
   // see src/util/weighted_picker.h).
   for (int n = 0; n < request.count; ++n) {
     int64_t grand_total = 0;
-    for (const ShardedPicker* segment : segments_) {
+    for (const WeightedPicker* segment : segments_) {
       grand_total += segment->Total();
     }
     if (grand_total <= 0) {
@@ -394,7 +368,7 @@ std::vector<Container> ResourceManager::Allocate(const ContainerRequest& request
     double point = rng.NextDouble() * static_cast<double>(grand_total);
     ServerId server = kInvalidServer;
     for (size_t g = 0; g < segments_.size(); ++g) {
-      const ShardedPicker& segment = *segments_[g];
+      const WeightedPicker& segment = *segments_[g];
       double segment_total = static_cast<double>(segment.Total());
       // point == 0 (NextDouble() drew 0.0) selects the first positive
       // weight overall, exactly like the dense subtraction scan.
@@ -675,11 +649,9 @@ void ResourceManager::BuildStalePickersForTest() {
   }
 }
 
-const ShardedPicker* ResourceManager::BuiltPickerForTest(int class_id) const {
-  if (picker_built_[static_cast<size_t>(class_id + 1)] == 0) {
-    return nullptr;
-  }
-  return class_id < 0 ? &all_servers_picker_ : &class_pickers_[static_cast<size_t>(class_id)];
+const WeightedPicker* ResourceManager::BuiltPickerForTest(int class_id) const {
+  const size_t slot = static_cast<size_t>(class_id + 1);
+  return picker_built_[slot] == 0 ? nullptr : &pickers_[slot];
 }
 
 bool ResourceManager::AuditCachesForTest(std::string* error) const {
@@ -740,17 +712,15 @@ bool ResourceManager::AuditCachesForTest(std::string* error) const {
   // Every sampler a draw can read: a built one as ResyncNode kept it, a
   // stale one as EnsurePicker would build it from node_weight_ at the next
   // draw that reads it.
-  std::vector<int64_t> column;
-  auto readable = [&](int class_id, ShardedPicker& scratch) -> const ShardedPicker& {
-    if (const ShardedPicker* built = BuiltPickerForTest(class_id)) {
+  auto readable = [&](int class_id, WeightedPicker& scratch) -> const WeightedPicker& {
+    if (const WeightedPicker* built = BuiltPickerForTest(class_id)) {
       return *built;
     }
-    scratch = class_id < 0 ? all_servers_picker_ : class_pickers_[static_cast<size_t>(class_id)];
-    FillPicker(class_id, scratch, column);
+    FillPicker(class_id, scratch);
     return scratch;
   };
-  ShardedPicker global_scratch;
-  const ShardedPicker& global = readable(-1, global_scratch);
+  WeightedPicker global_scratch;
+  const WeightedPicker& global = readable(-1, global_scratch);
   int64_t weight_total = 0;
   for (size_t s = 0; s < nodes_.size(); ++s) {
     const NodeManager& node = nodes_[s];
@@ -794,8 +764,8 @@ bool ResourceManager::AuditCachesForTest(std::string* error) const {
   }
   for (int c = 0; c < num_classes_; ++c) {
     const auto& servers = class_servers_[static_cast<size_t>(c)];
-    ShardedPicker class_scratch;
-    const ShardedPicker& picker = readable(c, class_scratch);
+    WeightedPicker class_scratch;
+    const WeightedPicker& picker = readable(c, class_scratch);
     const std::string at = " for class " + std::to_string(c);
     int64_t cores = 0;
     int64_t class_weight = 0;

@@ -9,30 +9,31 @@
 // forecast, and the placement weight are cached per telemetry slot (primary
 // usage is piecewise-constant at kSlotSeconds granularity) and resynced on
 // container add / remove / reserve kills; per-class availability is a running
-// aggregate; and placement draws sample a two-level block picker (a scan of
-// block sums, then of at most 64 leaves; O(1) updates) instead of scanning a
-// dense weight vector. A sampler is built at the first draw that reads it in
-// a slot and kept current only from then on: PT draws read only the
-// all-servers sampler and H draws only class samplers, so the other set is
-// never built. The cached path consumes the RNG
-// identically to the historical dense scan -- same draws, same picks -- so
-// simulation results are byte-identical (see src/util/weighted_picker.h for
+// aggregate; and placement draws sample a three-level block picker (a scan
+// of superblock sums, then of at most 64 block sums and 64 leaves; O(1)
+// updates) instead of scanning a dense weight vector. A sampler is built at
+// the first draw that reads it in a slot and kept current only from then
+// on: PT draws read only the all-servers sampler and H draws only class
+// samplers, so the other set is never built. The cached path consumes the
+// RNG identically to the historical dense scan -- same draws, same picks --
+// so simulation results are byte-identical (see src/util/weighted_picker.h for
 // the exactness argument, and tests/rm_oracle_test.cc for the oracle that
 // checks every cached quantity against a naive full rescan).
 //
-// Sharding (100k-server DCs): accounting is partitioned into contiguous
-// ServerId shards derived from the FleetTable (snapped to telemetry-group
-// boundaries). Each shard owns one sub-picker per sampler and one
-// partial per-class aggregate; the per-slot refresh runs the shards as
-// independent tasks on up to `slot_threads` workers and merges the partials
-// serially in shard order (exact integer sums). Trace-dependent per-slot
-// values (live primary cores, forecast cores) are computed once per
-// telemetry group and broadcast, so slot work is O(groups + active servers)
-// in the shared-trace fleets the paper models; EnforceReserves walks an
-// active-node bitmap instead of the whole fleet. Shard count and
-// thread count are execution-layout knobs: neither may change any emitted
-// byte (src/util/sharded_picker.h has the draw-exactness argument;
-// tests/shard_determinism.sh enforces the contract end to end).
+// Sharding (100k-server DCs): the per-slot refresh is partitioned into
+// contiguous ServerId shards derived from the FleetTable (snapped to
+// telemetry-group boundaries). Each shard computes its servers' slot caches
+// and one partial per-class available-core aggregate as an independent task
+// on up to `slot_threads` workers, and the partials merge serially in shard
+// order (exact integer sums). The samplers are not sharded: each is one
+// picker over its whole index range, so a draw's cost does not depend on
+// the shard count. Trace-dependent per-slot values (live primary cores,
+// forecast cores) are computed once per telemetry group and broadcast, so
+// slot work is O(groups + active servers) in the shared-trace fleets the
+// paper models; EnforceReserves walks an active-node bitmap instead of the
+// whole fleet. Shard count and thread count are execution-layout knobs:
+// neither may change any emitted byte (tests/shard_determinism.sh enforces
+// the contract end to end).
 //
 // Not thread-safe: one RM belongs to one simulation thread (the slot
 // refresh may *internally* fan out to slot_threads workers, but all
@@ -54,9 +55,8 @@
 #include "src/cluster/fleet_table.h"
 #include "src/scheduler/container.h"
 #include "src/scheduler/node_manager.h"
-#include "src/util/arena.h"
 #include "src/util/rng.h"
-#include "src/util/sharded_picker.h"
+#include "src/util/weighted_picker.h"
 
 namespace harvest {
 
@@ -109,7 +109,7 @@ class ResourceManager {
   const NodeManager& node(ServerId id) const { return nodes_[static_cast<size_t>(id)]; }
   size_t num_nodes() const { return nodes_.size(); }
   SchedulerMode mode() const { return mode_; }
-  int num_shards() const { return static_cast<int>(shard_starts_.size()); }
+  int num_shards() const { return static_cast<int>(shard_bounds_.size()) - 1; }
 
   // Cluster-wide average total (primary + secondary) utilization at `t`:
   // the dense ServerId-order sum of NodeManager::TotalUtilization, with each
@@ -185,10 +185,11 @@ class ResourceManager {
   const std::vector<int32_t>& group_parked() const { return group_parked_; }
   const FleetTable& fleet_table() const { return table_; }
 
-  // High-water mark of the per-slot scratch arena, for the driver's memory
-  // telemetry (the "timing" block golden_check strips).
+  // Bytes of per-slot rebuild scratch (the per-(shard, class) partials), for
+  // the driver's memory telemetry (the "timing" block golden_check strips).
+  // The name is the telemetry key's, which the benchmark reads.
   int64_t arena_high_water_bytes() const {
-    return static_cast<int64_t>(arena_.high_water_bytes());
+    return static_cast<int64_t>(class_partials_.size() * sizeof(int64_t));
   }
 
   // Test hook: recomputes every cached quantity (per-node availability,
@@ -202,7 +203,7 @@ class ResourceManager {
   // a draw read it), and returns sampler `class_id` (-1 = all servers) or
   // nullptr while it is stale.
   void BuildStalePickersForTest();
-  const ShardedPicker* BuiltPickerForTest(int class_id) const;
+  const WeightedPicker* BuiltPickerForTest(int class_id) const;
 
  private:
   // The weight function of one Allocate call: container shape, whether the
@@ -265,13 +266,12 @@ class ResourceManager {
   // weights: one task per shard, partials merged serially in shard order.
   // Marks every sampler stale.
   void RebuildAvailabilityAndWeights() const;
-  // Builds sampler `class_id` (-1 = all servers) into `picker`, whose
-  // layout is already set, from node_weight_; `column` is gather scratch
-  // for class samplers.
-  void FillPicker(int class_id, ShardedPicker& picker, std::vector<int64_t>& column) const;
+  // Builds sampler `class_id` (-1 = all servers) into `picker` from
+  // node_weight_ (class samplers gather through picker_column_).
+  void FillPicker(int class_id, WeightedPicker& picker) const;
   // Sampler `class_id` (-1 = all servers), built from node_weight_ first
   // if it is stale.
-  const ShardedPicker& EnsurePicker(int class_id) const;
+  const WeightedPicker& EnsurePicker(int class_id) const;
   // The dense ServerId-order sum of term(server, primary fraction) over the
   // fleet, divided by its size, with each telemetry group's trace read once.
   template <typename Term>
@@ -299,9 +299,10 @@ class ResourceManager {
   const Cluster* cluster_;
   SchedulerMode mode_;
   // SoA columns + trace pool + telemetry groups derived from the cluster;
-  // the shard partition is snapped to its group boundaries.
+  // the shard partition is snapped to its group boundaries (shard k is
+  // [shard_bounds_[k], shard_bounds_[k + 1])).
   FleetTable table_;
-  std::vector<size_t> shard_starts_;
+  std::vector<size_t> shard_bounds_;
   int slot_threads_ = 1;
   std::vector<NodeManager> nodes_;
   std::vector<int> server_class_;
@@ -348,18 +349,16 @@ class ResourceManager {
   mutable int forecast_samples_ = 0;
   mutable std::vector<Resources> node_avail_;
   mutable std::vector<int64_t> node_weight_;
-  // Placement samplers: all servers in ServerId order (label-free requests)
-  // and one per class in class-list order (labeled requests). Sharded: one
-  // sub-picker per shard. Every slot rebuild and profile switch marks them
-  // all stale; EnsurePicker builds one at the first draw that reads it, and
-  // ResyncNode updates only built ones. picker_built_[0] flags the
-  // all-servers sampler, picker_built_[c + 1] class c.
-  mutable ShardedPicker all_servers_picker_;
-  mutable std::vector<ShardedPicker> class_pickers_;
+  // Placement samplers: pickers_[0] holds all servers in ServerId order
+  // (label-free requests) and pickers_[c + 1] class c in class-list order
+  // (labeled requests); picker_built_ is indexed the same way. Every slot
+  // rebuild and profile switch marks them all stale; EnsurePicker builds one
+  // at the first draw that reads it, and ResyncNode updates only built ones.
+  mutable std::vector<WeightedPicker> pickers_;
   mutable std::vector<uint8_t> picker_built_;
   mutable std::vector<int64_t> picker_column_;  // class-sampler build scratch
   // Allocate's candidate segments (reused across calls).
-  std::vector<const ShardedPicker*> segments_;
+  std::vector<const WeightedPicker*> segments_;
   std::vector<int> segment_class_;
   // Running aggregate: sum of cached available cores per class.
   mutable std::vector<int64_t> class_avail_cores_;
@@ -369,8 +368,9 @@ class ResourceManager {
   mutable std::vector<double> class_util_value_;
   mutable int64_t group_util_slot_ = kNoSlot;
   mutable std::vector<double> group_primary_util_;
-  // Per-slot rebuild scratch (per-shard class partials).
-  mutable Arena arena_;
+  // Per-slot rebuild scratch: available-core partials, shard-major
+  // ([shard * num_classes_ + class]), zeroed at the top of each rebuild.
+  mutable std::vector<int64_t> class_partials_;
 };
 
 }  // namespace harvest

@@ -1,13 +1,14 @@
-// Two-level block weighted sampler with replay-exact semantics.
+// Three-level block weighted sampler with replay-exact semantics.
 //
 // ResourceManager's placement draw historically materialized a dense weight
 // vector and called Rng::WeightedIndex on it: one pass to total the weights,
 // one NextDouble() draw, and one subtraction scan to locate the index --
 // O(n) per placed container. This sampler keeps the weights as flat leaves
-// plus one running sum per block of kBlock leaves, so a single-element
-// update is O(1) (leaf, block sum, total) and a draw is one scan over block
-// sums followed by one scan over at most kBlock leaves, while reproducing
-// WeightedIndex's selection *bit for bit*:
+// plus one running sum per block of kBlock leaves and one per superblock of
+// kBlock blocks (kSuperblock leaves), so a single-element update is O(1)
+// (leaf, block sum, superblock sum, total) and a draw scans at most
+// ceil(n / kSuperblock) superblock sums, kBlock block sums and kBlock
+// leaves, while reproducing WeightedIndex's selection *bit for bit*:
 //
 //   * Weights here are non-negative int64. Every weight the scheduler uses
 //     (available cores, the history bonus 50 * type cores) is integer-valued,
@@ -21,13 +22,14 @@
 //     equivalent to "smallest i with prefix(i) >= point". For an integer
 //     prefix sum, prefix(i) >= point holds exactly when prefix(i) >=
 //     ceil(point), so LowerBound rounds the point up once and then runs
-//     the same "subtract while smaller" walk in int64: first over whole
-//     block sums, then over the leaves of the block the walk stopped in.
-//     Subtracting a block sum is the dense scan's run of leaf subtractions
-//     done at once, so both walks stop at the same index. The point == 0
-//     corner (NextDouble() returned 0.0) selects the first positive weight
-//     in both implementations; callers handle it by passing any point in
-//     (0, 1].
+//     the same "subtract while smaller" walk in int64 three times: over
+//     superblock sums, over the block sums of the superblock the walk
+//     stopped in, and over the leaves of the block it stopped in.
+//     Subtracting a superblock or block sum is the dense scan's run of leaf
+//     subtractions done at once, so every walk stops at the same index the
+//     dense scan does. The point == 0 corner (NextDouble() returned 0.0)
+//     selects the first positive weight in both implementations; callers
+//     handle it by passing any point in (0, 1].
 //
 // The equivalence is tested directly against Rng::WeightedIndex by
 // tests/weighted_picker_test.cc, end to end by tests/rm_oracle_test.cc, and
@@ -36,6 +38,7 @@
 #ifndef HARVEST_SRC_UTIL_WEIGHTED_PICKER_H_
 #define HARVEST_SRC_UTIL_WEIGHTED_PICKER_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -45,9 +48,9 @@ namespace harvest {
 
 class WeightedPicker {
  public:
-  // Leaves per block: a draw scans at most size / kBlock block sums and
-  // then at most kBlock leaves.
+  // Leaves per block, and blocks per superblock.
   static constexpr size_t kBlock = 64;
+  static constexpr size_t kSuperblock = kBlock * kBlock;
 
   WeightedPicker() = default;
 
@@ -55,17 +58,17 @@ class WeightedPicker {
   int64_t Total() const { return total_; }
 
   // Re-initializes to `weights` in O(n).
-  void Build(const std::vector<int64_t>& weights) { Build(weights.data(), weights.size()); }
-
-  // Same, from a raw column slice (the sharded rebuild path hands each
-  // shard its window of one dense weight column).
-  void Build(const int64_t* weights, size_t count) {
-    leaves_.assign(weights, weights + count);
-    blocks_.assign((count + kBlock - 1) / kBlock, 0);
+  void Build(const std::vector<int64_t>& weights) {
+    leaves_ = weights;
+    blocks_.assign((weights.size() + kBlock - 1) / kBlock, 0);
+    supers_.assign((blocks_.size() + kBlock - 1) / kBlock, 0);
     total_ = 0;
-    for (size_t i = 0; i < count; ++i) {
+    for (size_t i = 0; i < weights.size(); ++i) {
       blocks_[i / kBlock] += weights[i];
-      total_ += weights[i];
+    }
+    for (size_t b = 0; b < blocks_.size(); ++b) {
+      supers_[b / kBlock] += blocks_[b];
+      total_ += blocks_[b];
     }
   }
 
@@ -74,19 +77,22 @@ class WeightedPicker {
     const int64_t delta = new_weight - old_weight;
     leaves_[i] = new_weight;
     blocks_[i / kBlock] += delta;
+    supers_[i / kSuperblock] += delta;
     total_ += delta;
   }
 
-  // Sum of the first `count` elements: whole block sums, then the leaves of
-  // the partial block. Exposed for cache audits (tests recover individual
-  // weights as adjacent-prefix deltas).
+  // Sum of the first `count` elements: whole superblock sums, whole block
+  // sums, then the leaves of the partial block. Exposed for cache audits
+  // (tests recover individual weights as adjacent-prefix deltas).
   int64_t PrefixSum(size_t count) const {
     int64_t sum = 0;
-    const size_t full = count / kBlock;
-    for (size_t b = 0; b < full; ++b) {
+    for (size_t s = 0; s < count / kSuperblock; ++s) {
+      sum += supers_[s];
+    }
+    for (size_t b = count / kSuperblock * kBlock; b < count / kBlock; ++b) {
       sum += blocks_[b];
     }
-    for (size_t i = full * kBlock; i < count; ++i) {
+    for (size_t i = count / kBlock * kBlock; i < count; ++i) {
       sum += leaves_[i];
     }
     return sum;
@@ -100,24 +106,29 @@ class WeightedPicker {
       return 0;
     }
     int64_t target = static_cast<int64_t>(std::ceil(point));
-    size_t block = 0;
-    const size_t last_block = blocks_.size() - 1;
-    while (block < last_block && blocks_[block] < target) {
-      target -= blocks_[block];
-      ++block;
-    }
-    size_t i = block * kBlock;
-    const size_t last = (block == last_block ? leaves_.size() : i + kBlock) - 1;
-    while (i < last && leaves_[i] < target) {
-      target -= leaves_[i];
-      ++i;
-    }
-    return i;  // 0-based: `i` elements lie strictly before the pick
+    const size_t super = Walk(supers_, 0, supers_.size(), target);
+    const size_t block = Walk(blocks_, super * kBlock, kBlock, target);
+    return Walk(leaves_, block * kBlock, kBlock, target);
   }
 
  private:
+  // The "subtract while smaller" walk over at most `span` entries of `sums`
+  // from `first`: returns the first entry whose running sum reaches
+  // `target`, or the last entry, having subtracted every entry passed.
+  static size_t Walk(const std::vector<int64_t>& sums, size_t first, size_t span,
+                     int64_t& target) {
+    const size_t last = std::min(sums.size(), first + span) - 1;
+    size_t i = first;
+    while (i < last && sums[i] < target) {
+      target -= sums[i];
+      ++i;
+    }
+    return i;
+  }
+
   std::vector<int64_t> leaves_;  // one weight per element
   std::vector<int64_t> blocks_;  // blocks_[b] = sum of leaves [b*kBlock, (b+1)*kBlock)
+  std::vector<int64_t> supers_;  // supers_[s] = sum of blocks [s*kBlock, (s+1)*kBlock)
   int64_t total_ = 0;
 };
 

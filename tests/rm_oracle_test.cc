@@ -346,7 +346,7 @@ TEST(RmOracleTest, SharedTraceFleetUnderKillHeavyMix) {
 }
 
 // Sampler `a` equals sampler `b`, element for element.
-void ExpectSamePicker(const ShardedPicker& a, const ShardedPicker& b, const std::string& where) {
+void ExpectSamePicker(const WeightedPicker& a, const WeightedPicker& b, const std::string& where) {
   ASSERT_EQ(a.size(), b.size()) << where;
   ASSERT_EQ(a.Total(), b.Total()) << where;
   for (size_t i = 1; i <= a.size(); ++i) {
@@ -443,8 +443,8 @@ TEST(RmOracleTest, LazySamplersMatchEagerlyBuiltOnes) {
         }
         lazy.BuildStalePickersForTest();
         for (int c = -1; c < lazy.NumClasses(); ++c) {
-          const ShardedPicker* built = lazy.BuiltPickerForTest(c);
-          const ShardedPicker* twin = eager.BuiltPickerForTest(c);
+          const WeightedPicker* built = lazy.BuiltPickerForTest(c);
+          const WeightedPicker* twin = eager.BuiltPickerForTest(c);
           ASSERT_NE(built, nullptr) << at << " sampler " << c;
           ASSERT_NE(twin, nullptr) << at << " sampler " << c;
           ExpectSamePicker(*built, *twin, at + " sampler " + std::to_string(c));

@@ -1,11 +1,11 @@
-// Differential test of the placement samplers against the dense scan they
-// replace: WeightedPicker and ShardedPicker must pick exactly the index
-// Rng::WeightedIndex picks on the same integer weights, and consume the RNG
-// stream identically, at every size around the 64-leaf block edges, across
-// zero-weight runs, at points that land exactly on block and shard totals,
-// at the NextDouble() == 0 corner, and under incremental updates.
+// Differential test of the placement sampler against the dense scan it
+// replaces: WeightedPicker must pick exactly the index Rng::WeightedIndex
+// picks on the same integer weights, and consume the RNG stream
+// identically, at every size around the 64-leaf block and 4096-leaf
+// superblock edges, across zero-weight runs (including runs that cross a
+// superblock edge), at points that land exactly on block and superblock
+// totals, at the NextDouble() == 0 corner, and under incremental updates.
 
-#include "src/util/sharded_picker.h"
 #include "src/util/weighted_picker.h"
 
 #include <gtest/gtest.h>
@@ -19,7 +19,7 @@
 namespace harvest {
 namespace {
 
-constexpr size_t kSizes[] = {0, 1, 63, 64, 65, 4095, 4097};
+constexpr size_t kSizes[] = {0, 1, 63, 64, 65, 4095, 4096, 4097, 8191, 8193, 12289};
 
 // Rng::WeightedIndex's subtraction scan at a given point (0 <= point <=
 // total): the first positive weight whose running subtraction reaches 0.
@@ -38,8 +38,7 @@ int DenseScanAt(const std::vector<int64_t>& weights, double point) {
 
 // The production draw (ResourceManager::Allocate on one segment): one
 // NextDouble() iff the total is positive; the point-0 corner passes 0.5.
-template <typename Picker>
-int PickerDraw(const Picker& picker, Rng& rng) {
+int PickerDraw(const WeightedPicker& picker, Rng& rng) {
   if (picker.Total() <= 0) {
     return -1;
   }
@@ -47,13 +46,13 @@ int PickerDraw(const Picker& picker, Rng& rng) {
   return static_cast<int>(picker.LowerBound(point > 0.0 ? point : 0.5));
 }
 
-template <typename Picker>
-int PickerAt(const Picker& picker, double point) {
+int PickerAt(const WeightedPicker& picker, double point) {
   return static_cast<int>(picker.LowerBound(point > 0.0 ? point : 0.5));
 }
 
 // Weight patterns: uniform random (with some zeros), zero runs straddling
-// block edges, all zeros, and one positive weight at the very end.
+// block edges, zero runs crossing superblock edges, all zeros, and one
+// positive weight at the very end.
 std::vector<std::vector<int64_t>> Patterns(size_t n, Rng& rng) {
   std::vector<std::vector<int64_t>> patterns;
   std::vector<int64_t> random(n);
@@ -76,6 +75,18 @@ std::vector<std::vector<int64_t>> Patterns(size_t n, Rng& rng) {
     }
   }
   patterns.push_back(runs);
+  std::vector<int64_t> super_runs = random;
+  constexpr size_t kSuper = WeightedPicker::kSuperblock;
+  for (size_t edge = kSuper; edge < n; edge += kSuper) {
+    // Zero the block and a half before each superblock edge and the block
+    // after it (zero block sums on both sides), and every odd superblock
+    // entirely (a zero superblock sum between positive ones).
+    const size_t end = (edge / kSuper) % 2 == 1 ? edge + kSuper : edge + WeightedPicker::kBlock;
+    for (size_t i = edge - 96; i < end && i < n; ++i) {
+      super_runs[i] = 0;
+    }
+  }
+  patterns.push_back(super_runs);
   patterns.push_back(std::vector<int64_t>(n, 0));
   if (n > 0) {
     std::vector<int64_t> last(n, 0);
@@ -85,21 +96,9 @@ std::vector<std::vector<int64_t>> Patterns(size_t n, Rng& rng) {
   return patterns;
 }
 
-// Shard layouts over n elements: one shard, block-aligned and unaligned
-// cuts, and layouts with empty shards (repeated starts) at both ends.
-std::vector<std::vector<size_t>> Layouts(size_t n) {
-  std::vector<std::vector<size_t>> layouts = {{0}};
-  layouts.push_back({0, n / 2});
-  layouts.push_back({0, n / 3, n / 3, (2 * n) / 3});
-  if (n > 64) {
-    layouts.push_back({0, 1, 63, 64, 65});
-  }
-  layouts.push_back({0, 0, n});
-  return layouts;
-}
-
-// Points that land exactly on every block total's running prefix (and
-// one past it, and halfway into the next unit), plus 0 and the total.
+// Points that land exactly on every block (and so every superblock) total's
+// running prefix (and one past it, and halfway into the next unit), plus 0
+// and the total.
 std::vector<double> EdgePoints(const std::vector<int64_t>& weights) {
   std::vector<double> points = {0.0};
   int64_t prefix = 0;
@@ -120,9 +119,8 @@ std::vector<double> EdgePoints(const std::vector<int64_t>& weights) {
   return valid;
 }
 
-template <typename Picker>
-void ExpectMatchesDense(const Picker& picker, const std::vector<int64_t>& weights, Rng& rng,
-                        const std::string& where) {
+void ExpectMatchesDense(const WeightedPicker& picker, const std::vector<int64_t>& weights,
+                        Rng& rng, const std::string& where) {
   int64_t total = 0;
   for (size_t i = 0; i < weights.size(); ++i) {
     ASSERT_EQ(picker.PrefixSum(i), total) << where << " prefix " << i;
@@ -190,46 +188,6 @@ TEST(WeightedPickerTest, IncrementalUpdatesMatchRebuild) {
     rebuilt.Build(weights);
     for (size_t i = 0; i <= n; ++i) {
       ASSERT_EQ(picker.PrefixSum(i), rebuilt.PrefixSum(i)) << "n=" << n << " prefix " << i;
-    }
-  }
-}
-
-TEST(ShardedPickerTest, MatchesDenseScanAcrossShardLayouts) {
-  Rng rng(41);
-  for (size_t n : kSizes) {
-    for (const std::vector<int64_t>& base : Patterns(n, rng)) {
-      for (const std::vector<size_t>& layout : Layouts(n)) {
-        std::vector<int64_t> weights = base;
-        ShardedPicker picker;
-        picker.SetLayout(layout, n);
-        picker.Build(weights);
-        const std::string where =
-            "n=" + std::to_string(n) + " shards=" + std::to_string(picker.num_shards());
-        ExpectMatchesDense(picker, weights, rng, where);
-        // Points exactly on each shard's running total.
-        int64_t prefix = 0;
-        for (int k = 0; k < picker.num_shards(); ++k) {
-          for (size_t i = picker.shard_begin(k); i < picker.shard_end(k); ++i) {
-            prefix += weights[i];
-          }
-          if (prefix > 0) {
-            EXPECT_EQ(PickerAt(picker, static_cast<double>(prefix)),
-                      DenseScanAt(weights, static_cast<double>(prefix)))
-                << where << " at shard " << k << " total";
-          }
-        }
-        if (n == 0) {
-          continue;
-        }
-        for (int step = 0; step < 200; ++step) {
-          const size_t i = static_cast<size_t>(rng.NextBounded(n));
-          const int64_t next =
-              rng.Bernoulli(0.3) ? 0 : static_cast<int64_t>(rng.UniformInt(1, 60));
-          picker.Update(i, weights[i], next);
-          weights[i] = next;
-        }
-        ExpectMatchesDense(picker, weights, rng, "updated " + where);
-      }
     }
   }
 }
